@@ -24,13 +24,24 @@
 //!
 //! `--executor-sweep` runs the flood throughput benchmark at decade sizes up
 //! to `max_n` (default 10⁶) on both executors and prints the speedup table.
+//!
+//! Malformed arguments — an unknown or missing `--exp` id, a non-numeric
+//! size — print the usage line and exit with status 2.
+
+const USAGE: &str = "usage: experiments [--exp e1|...|e10|all] | --json [path] [--max-n N] \
+                     | --compare BASELINE CURRENT | --executor-sweep [max_n]";
+
+/// Reports a command-line error with the usage line and exits with status 2.
+fn usage_error(what: &str) -> ! {
+    eprintln!("experiments: {what}\n{USAGE}");
+    std::process::exit(2);
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     if let Some(i) = args.iter().position(|a| a == "--compare") {
         let (Some(baseline), Some(current)) = (args.get(i + 1), args.get(i + 2)) else {
-            eprintln!("usage: experiments --compare <baseline.json> <current.json>");
-            std::process::exit(2);
+            usage_error("--compare expects <baseline.json> <current.json>");
         };
         match mds_bench::trend::compare_files(baseline, current) {
             Ok(report) => {
@@ -57,10 +68,12 @@ fn main() {
         return;
     }
     if let Some(i) = args.iter().position(|a| a == "--executor-sweep") {
-        let max_n = args
-            .get(i + 1)
-            .and_then(|a| a.parse().ok())
-            .unwrap_or(1_000_000);
+        let max_n = match args.get(i + 1) {
+            None => 1_000_000,
+            Some(a) => a.parse().unwrap_or_else(|_| {
+                usage_error(&format!("--executor-sweep expects a node count, got {a:?}"))
+            }),
+        };
         print!("{}", mds_bench::flood::executor_sweep_markdown(max_n));
         return;
     }
@@ -75,10 +88,7 @@ fn main() {
                 let max_n = args
                     .get(j + 1)
                     .and_then(|a| a.parse().ok())
-                    .unwrap_or_else(|| {
-                        eprintln!("usage: experiments --json [path] --max-n <N>");
-                        std::process::exit(2);
-                    });
+                    .unwrap_or_else(|| usage_error("--max-n expects a node count"));
                 mds_bench::sweep_sizes(max_n)
             }
             None => mds_bench::JSON_BENCH_SIZES.to_vec(),
@@ -88,11 +98,13 @@ fn main() {
         println!("wrote {path} (sizes: {sizes:?})");
         return;
     }
-    let exp = args
-        .iter()
-        .position(|a| a == "--exp")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "all".to_owned());
-    print!("{}", mds_bench::run_experiment(&exp));
+    let exp = match args.iter().position(|a| a == "--exp") {
+        None => "all",
+        Some(i) => match args.get(i + 1) {
+            Some(id) if mds_bench::EXPERIMENT_IDS.contains(&id.as_str()) => id.as_str(),
+            Some(id) => usage_error(&format!("unknown experiment id {id:?}")),
+            None => usage_error("--exp expects an experiment id"),
+        },
+    };
+    print!("{}", mds_bench::run_experiment(exp));
 }

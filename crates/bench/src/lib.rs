@@ -10,7 +10,6 @@
 #![warn(missing_docs)]
 
 use congest_sim::{Graph, PhaseMode, PhaseOutcome, PooledExecutor};
-use congest_transport::ChannelExecutor;
 use mds_cds::build::{connect_dominating_set, CdsConfig};
 use mds_cds::verify::is_connected_dominating_set;
 use mds_core::pipeline::{theorem_1_1, theorem_1_2, theorem_1_2_on, MdsConfig, MdsResult};
@@ -495,6 +494,11 @@ pub fn e10_decomposition_quality() -> String {
     out
 }
 
+/// Every id [`run_experiment`] accepts.
+pub const EXPERIMENT_IDS: [&str; 11] = [
+    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "all",
+];
+
 /// Runs one experiment by id (`"e1"`..`"e10"`); `"all"` runs every experiment.
 pub fn run_experiment(id: &str) -> String {
     match id {
@@ -530,11 +534,10 @@ pub fn run_experiment(id: &str) -> String {
 /// [`POOLED_BENCH_MIN_N`] nodes and above) and made it part of the run
 /// identity the trend gate matches on.
 ///
-/// v4 added the `"transport"` field — `"arena"` for every in-process-arena
-/// executor row, `"channels"` for the serialized channel-backend rows of the
-/// Theorem 1.2 route between [`POOLED_BENCH_MIN_N`] and
-/// [`CHANNELS_BENCH_MAX_N`] nodes (`"executor": "channels4"`) — and made it
-/// the fourth component of the run identity.
+/// v4 added the `"transport"` field — how committed batches move between
+/// rounds — and made it the fourth component of the run identity. Every row
+/// is `"arena"` now; the serialized channel-backend rows (`"executor":
+/// "channels4"`, `"transport": "channels"`) went with that backend.
 ///
 /// v5 added the `"payloads"` field: payloads *stored* by the engine per the
 /// ledger, as opposed to the `"messages"` the CONGEST model charges. A
@@ -558,13 +561,6 @@ pub const BENCH_SCHEMA_VERSION: u32 = 6;
 /// route on the 4-thread persistent-pool executor. Below this the run is
 /// dominated by setup and the pool column would only measure noise.
 pub const POOLED_BENCH_MIN_N: usize = 1000;
-
-/// Largest `n` at which the benchmark times the Theorem 1.2 route on the
-/// serialized channel backend (`ChannelExecutor`, 4 groups × 4 threads).
-/// Every committed message crosses the encode → frame → decode path, so the
-/// row is deliberately capped: one mid-size data point tracks the codec's
-/// cost trend without doubling the sweep's wall time at the top sizes.
-pub const CHANNELS_BENCH_MAX_N: usize = 1000;
 
 /// Largest `n` at which the benchmark runs the sequential `SyncExecutor`
 /// reference alongside the pooled executor. Above this only the `"pooled4"`
@@ -628,7 +624,6 @@ fn bench_entry(
     family_label: &str,
     route: &str,
     executor: &str,
-    transport: &str,
     r: &MdsResult,
     wall_ms: f64,
 ) -> String {
@@ -641,7 +636,7 @@ fn bench_entry(
     format!(
         concat!(
             "    {{\"n\": {}, \"m\": {}, \"max_degree\": {}, \"graph\": \"{}\", ",
-            "\"route\": \"{}\", \"executor\": \"{}\", \"transport\": \"{}\", ",
+            "\"route\": \"{}\", \"executor\": \"{}\", \"transport\": \"arena\", ",
             "\"size\": {}, \"lp_lower_bound\": {:.3}, ",
             "\"measured_engine_rounds\": {}, \"measured_coloring_rounds\": {}, ",
             "\"measured_netdecomp_rounds\": {}, ",
@@ -657,7 +652,6 @@ fn bench_entry(
         family_label,
         route,
         executor,
-        transport,
         r.size(),
         r.lp_lower_bound,
         r.measured_engine_rounds(),
@@ -685,11 +679,9 @@ fn bench_entry(
 /// Sizes above [`THEOREM_1_1_MAX_N`] skip the Theorem 1.1 route (see the
 /// constant's docs); sizes at or above [`POOLED_BENCH_MIN_N`] additionally
 /// time the Theorem 1.2 route on the 4-thread persistent-pool executor
-/// (`"executor": "pooled4"`) and — up to [`CHANNELS_BENCH_MAX_N`] — on the
-/// serialized channel backend (`"executor": "channels4"`, `"transport":
-/// "channels"`), asserting their rounds, messages and solution bit-identical
-/// to the sequential run so the extra rows can only ever differ in wall
-/// time. Sizes above [`SYNC_BENCH_MAX_N`] drop the sequential reference and
+/// (`"executor": "pooled4"`), asserting its rounds, messages and solution
+/// bit-identical to the sequential run so the extra row can only ever differ
+/// in wall time. Sizes above [`SYNC_BENCH_MAX_N`] drop the sequential reference and
 /// produce the `"pooled4"` row alone; its determinism is pinned by the
 /// baseline's exact field gate. The wall breakdown classifies measured
 /// phases by name:
@@ -717,15 +709,7 @@ pub fn pipeline_benchmark_json(sizes: &[usize]) -> String {
                 };
                 let wall_ms = start.elapsed().as_secs_f64() * 1e3;
                 assert!(verify::is_dominating_set(&g, &r.dominating_set));
-                entries.push(bench_entry(
-                    &g,
-                    &family.label(),
-                    route,
-                    "sync",
-                    "arena",
-                    &r,
-                    wall_ms,
-                ));
+                entries.push(bench_entry(&g, &family.label(), route, "sync", &r, wall_ms));
                 Some(r)
             } else {
                 None
@@ -751,34 +735,8 @@ pub fn pipeline_benchmark_json(sizes: &[usize]) -> String {
                     &family.label(),
                     route,
                     "pooled4",
-                    "arena",
                     &pooled,
                     pooled_ms,
-                ));
-            }
-            if route == "theorem_1_2" && (POOLED_BENCH_MIN_N..=CHANNELS_BENCH_MAX_N).contains(&n) {
-                let r = reference
-                    .as_ref()
-                    .expect("channel-backend sizes stay within the sync cap");
-                let start = std::time::Instant::now();
-                let channels = theorem_1_2_on(&g, &config, &ChannelExecutor::new(4, 4));
-                let channels_ms = start.elapsed().as_secs_f64() * 1e3;
-                assert_eq!(
-                    channels.dominating_set, r.dominating_set,
-                    "channel run diverged from sequential at n = {n}"
-                );
-                assert_eq!(
-                    channels.ledger, r.ledger,
-                    "channel ledger diverged from sequential at n = {n}"
-                );
-                entries.push(bench_entry(
-                    &g,
-                    &family.label(),
-                    route,
-                    "channels4",
-                    "channels",
-                    &channels,
-                    channels_ms,
                 ));
             }
         }
@@ -810,16 +768,6 @@ pub const JSON_BENCH_SIZES: [usize; 3] = [50, 100, 200];
 pub mod flood;
 pub mod trend;
 
-/// Convenience used by the Criterion benches: a small graph per family label.
-pub fn bench_graph(label: &str) -> Graph {
-    match label {
-        "gnp" => generators::gnp(120, 0.06, 1),
-        "grid" => generators::grid(10, 10),
-        "udg" => generators::unit_disk(100, 0.2, 1),
-        _ => generators::random_tree(100, 1),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -836,13 +784,6 @@ mod tests {
     #[test]
     fn unknown_experiment_is_reported() {
         assert!(run_experiment("e99").contains("unknown experiment"));
-    }
-
-    #[test]
-    fn bench_graphs_are_nonempty() {
-        for label in ["gnp", "grid", "udg", "tree"] {
-            assert!(bench_graph(label).n() > 0);
-        }
     }
 
     #[test]
@@ -871,10 +812,9 @@ mod tests {
             assert!(json.contains(key), "missing {key} in {json}");
         }
         // Two routes over one size; below POOLED_BENCH_MIN_N there is no
-        // extra pooled-executor or channel-backend row.
+        // extra pooled-executor row.
         assert_eq!(json.matches("\"route\"").count(), 2);
         assert!(!json.contains("pooled4"));
-        assert!(!json.contains("channels4"));
         // The decomposition route never colors; the coloring route measures
         // its Lemma 3.12 phases on the engine.
         assert!(json.contains(

@@ -35,12 +35,10 @@ pub struct BenchRun {
     /// `"theorem_1_1"` or `"theorem_1_2"`.
     pub route: String,
     /// `"sync"` for the sequential rows, `"pooled4"` for the 4-thread
-    /// persistent-pool rows, `"channels4"` for the serialized
-    /// channel-backend rows of the Theorem 1.2 route (schema v3/v4).
+    /// persistent-pool rows of the Theorem 1.2 route (schema v3).
     pub executor: String,
-    /// How committed message batches move between rounds: `"arena"` for the
-    /// in-process executors, `"channels"` for the serialized channel backend
-    /// (schema v4).
+    /// How committed message batches move between rounds; `"arena"` (the
+    /// in-process message arena) on every row (schema v4).
     pub transport: String,
     /// Nodes.
     pub n: u64,

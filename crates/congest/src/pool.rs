@@ -4,10 +4,9 @@
 //!
 //! # Why a pool
 //!
-//! [`crate::engine::ParallelExecutor`] re-spawns scoped workers *every round*
-//! and commits all outboxes on one thread. For round counts in the thousands
-//! (the measured Theorem 1.2 pipeline runs ~1.3k engine rounds at `n = 10⁵`)
-//! the spawn latency and the serial commit dominate. [`PooledExecutor`]
+//! A measured pipeline runs thousands of short engine rounds (the Theorem 1.2
+//! pipeline runs ~1.3k at `n = 10⁵`), so per-round thread spawns and a
+//! serial commit phase would dominate any parallel speedup. [`PooledExecutor`]
 //! spawns its workers once per [`Executor::run`], keeps them in lockstep
 //! with one reusable [`Barrier`] (two waits per round), and lets every
 //! worker execute *and commit* its own contiguous node block.
@@ -70,15 +69,15 @@
 //!
 //! The synchronous protocol assumes node programs do not panic: a worker
 //! that unwinds never reaches the barrier and the run would hang rather
-//! than propagate the panic (the per-round scoped executor surfaces it
-//! instead). Engine-facing programs in this workspace are panic-free by
-//! contract.
+//! than propagate the panic. [`SyncExecutor`] runs programs on the calling
+//! thread, so a panic there unwinds to the caller. Engine-facing programs
+//! in this workspace are panic-free by contract.
 //!
 //! [`SyncExecutor`]: crate::engine::SyncExecutor
 
 use crate::engine::{
     drain_outbox, run_engine, Accounting, Committed, ExecutionError, Executor, ExecutorConfig,
-    ParallelExecutor, RoundStats, RunReport,
+    RoundStats, RunReport,
 };
 use crate::message::MessageSize;
 use crate::program::{Inbox, NodeContext, NodeProgram, Outbox, Pending, RoundAction};
@@ -124,8 +123,9 @@ pub struct PooledExecutor {
 
 impl PooledExecutor {
     /// Minimum nodes per worker under the adaptive policy
-    /// ([`PooledExecutor::auto`]); shared with the scoped executor.
-    pub const DEFAULT_MIN_CHUNK: usize = ParallelExecutor::DEFAULT_MIN_CHUNK;
+    /// ([`PooledExecutor::auto`]): below this, barrier latency beats the
+    /// per-round work a block of typical programs performs.
+    pub const DEFAULT_MIN_CHUNK: usize = 2048;
 
     /// Creates an executor using exactly `threads` workers (at least one),
     /// regardless of graph size. With one worker (or a graph smaller than
@@ -141,8 +141,7 @@ impl PooledExecutor {
     /// Creates an executor using the available hardware parallelism with
     /// adaptive chunking: a worker is only spawned for every full
     /// [`PooledExecutor::DEFAULT_MIN_CHUNK`] nodes, so small graphs run
-    /// sequentially (barrier latency beats the per-round work there) and
-    /// large graphs use the full width.
+    /// sequentially and large graphs use the full width.
     pub fn auto() -> Self {
         PooledExecutor {
             threads: thread::available_parallelism()
@@ -152,20 +151,9 @@ impl PooledExecutor {
         }
     }
 
-    /// Overrides the minimum nodes per worker (at least one).
-    pub fn with_min_chunk(mut self, min_chunk: usize) -> Self {
-        self.min_chunk = min_chunk.max(1);
-        self
-    }
-
     /// The configured number of workers.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// The minimum number of nodes assigned to a worker.
-    pub fn min_chunk(&self) -> usize {
-        self.min_chunk
     }
 }
 
@@ -188,12 +176,13 @@ impl Executor for PooledExecutor {
         P::Message: Send + Sync,
         P::Output: Send,
     {
-        // Adaptive fan-out, same policy as the scoped executor: one worker
-        // per `min_chunk` nodes, capped at the configured width. A width of
-        // one means the pool cannot pay for itself — run sequentially.
+        // Adaptive fan-out: one worker per `min_chunk` nodes, capped at the
+        // configured width. Purely a wall-clock decision — block boundaries
+        // never influence outputs or accounting. A width of one means the
+        // pool cannot pay for itself — run sequentially.
         let width = (graph.n() / self.min_chunk).clamp(1, self.threads);
         if width <= 1 {
-            return run_engine(graph, programs, config, 1);
+            return run_engine(graph, programs, config);
         }
         run_engine_pooled(graph, programs, config, width)
     }
@@ -1003,15 +992,12 @@ mod tests {
 
     #[test]
     fn auto_and_builders_expose_their_configuration() {
-        let e = PooledExecutor::new(0);
-        assert_eq!(e.threads(), 1);
-        assert_eq!(e.min_chunk(), 1);
-        let e = PooledExecutor::auto().with_min_chunk(0);
-        assert!(e.threads() >= 1);
-        assert_eq!(e.min_chunk(), 1);
+        assert_eq!(PooledExecutor::new(0).threads(), 1);
+        assert_eq!(PooledExecutor::new(3).threads(), 3);
+        assert!(PooledExecutor::auto().threads() >= 1);
         assert_eq!(
-            PooledExecutor::default().min_chunk(),
-            PooledExecutor::DEFAULT_MIN_CHUNK
+            PooledExecutor::default().threads(),
+            PooledExecutor::auto().threads()
         );
     }
 }

@@ -1,7 +1,6 @@
-//! The byte-level frame format shared by every transport backend.
+//! The byte-level frame format of the socket backend.
 //!
-//! A frame is the unit both the channel backend (between node groups in one
-//! process) and the socket backend (between OS processes) exchange:
+//! A frame is the unit the two processes of a socket session exchange:
 //!
 //! ```text
 //! +-------+------+-------------+---------+----------+
@@ -42,11 +41,6 @@ pub enum FrameKind {
     /// One round's traffic: sub-totals, newly-halted outputs, first error and
     /// the cross-shard `(slot, msg)` batch.
     Round = 1,
-    /// A batch of broadcast payloads, one per broadcasting node (`"CGB1"`
-    /// traffic): `(sender, payload)` entries the receiver fans out over the
-    /// sender's mirror targets it owns, instead of shipping `deg` per-edge
-    /// copies through a [`FrameKind::Round`] frame.
-    Broadcast = 2,
 }
 
 impl FrameKind {
@@ -54,7 +48,6 @@ impl FrameKind {
         match b {
             0 => Some(FrameKind::Hello),
             1 => Some(FrameKind::Round),
-            2 => Some(FrameKind::Broadcast),
             _ => None,
         }
     }
@@ -246,7 +239,6 @@ mod tests {
         let mut buf = Vec::new();
         encode_frame(FrameKind::Round, b"hello world", &mut buf);
         encode_frame(FrameKind::Hello, b"", &mut buf);
-        encode_frame(FrameKind::Broadcast, b"fan-out", &mut buf);
         let mut pos = 0;
         let (kind, payload) = decode_frame(&buf, &mut pos).unwrap();
         assert_eq!(kind, FrameKind::Round);
@@ -254,9 +246,6 @@ mod tests {
         let (kind, payload) = decode_frame(&buf, &mut pos).unwrap();
         assert_eq!(kind, FrameKind::Hello);
         assert!(payload.is_empty());
-        let (kind, payload) = decode_frame(&buf, &mut pos).unwrap();
-        assert_eq!(kind, FrameKind::Broadcast);
-        assert_eq!(payload, b"fan-out");
         assert_eq!(pos, buf.len());
     }
 

@@ -45,7 +45,7 @@ use crate::proto::{Hello, RoundPayload, PROTOCOL_VERSION};
 use crate::reduce::{Reducer, ShardRound, Verdict};
 use crate::TransportError;
 use congest_sim::engine::{
-    ArenaDelivery, Committed, Delivery, ExecutionError, Executor, ExecutorConfig, RunReport,
+    ArenaDelivery, Committed, ExecutionError, Executor, ExecutorConfig, RunReport,
 };
 use congest_sim::program::{Inbox, NodeContext, NodeProgram, Outbox, Pending, RoundAction};
 use congest_sim::{Graph, NodeId};
@@ -800,8 +800,12 @@ mod tests {
     }
 
     /// Runs the same programs on both ends of a loopback session (the peer
-    /// on a second thread) and returns both complete reports.
-    fn run_both<P, F>(graph: &Graph, mk: F, config: &ExecutorConfig) -> [RunReport<P::Output>; 2]
+    /// on a second thread) and returns both sides' results.
+    fn run_both_results<P, F>(
+        graph: &Graph,
+        mk: F,
+        config: &ExecutorConfig,
+    ) -> [Result<RunReport<P::Output>, TransportError>; 2]
     where
         P: NodeProgram + Send,
         P::Output: Send,
@@ -809,7 +813,7 @@ mod tests {
     {
         let listener = SocketListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let (leader, follower) = thread::scope(|s| {
+        thread::scope(|s| {
             let follower = s.spawn(|| {
                 let mut session = SocketSession::connect(addr, Duration::from_secs(10)).unwrap();
                 session.set_timeout(Duration::from_secs(30));
@@ -818,9 +822,31 @@ mod tests {
             let mut session = listener.accept().unwrap();
             session.set_timeout(Duration::from_secs(30));
             let leader = session.run_program(Role::Leader, graph, mk(), config);
-            (leader, follower.join().expect("follower thread"))
-        });
-        [leader.unwrap(), follower.unwrap()]
+            [leader, follower.join().expect("follower thread")]
+        })
+    }
+
+    /// [`run_both_results`] for runs that must succeed on both sides.
+    fn run_both<P, F>(graph: &Graph, mk: F, config: &ExecutorConfig) -> [RunReport<P::Output>; 2]
+    where
+        P: NodeProgram + Send,
+        P::Output: Send,
+        F: Fn() -> Vec<P> + Sync,
+    {
+        run_both_results(graph, mk, config).map(|r| r.unwrap())
+    }
+
+    /// Asserts both sides failed with exactly the sequential `expected` error.
+    fn assert_both_fail_with<O: std::fmt::Debug>(
+        results: [Result<RunReport<O>, TransportError>; 2],
+        expected: &ExecutionError,
+    ) {
+        for result in results {
+            match result {
+                Err(TransportError::Execution(e)) => assert_eq!(&e, expected),
+                other => panic!("expected the sequential error, got {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -831,6 +857,26 @@ mod tests {
             .unwrap();
         for report in run_both(&g, || min_id_programs(17, 20), &ExecutorConfig::default()) {
             assert_eq!(seq, report);
+        }
+    }
+
+    /// Path lengths move the `ceil(n / 2)` split around, so halting nodes,
+    /// the cross-shard edge and odd/even shard sizes all vary.
+    #[test]
+    fn matches_sequential_bit_for_bit_at_every_split() {
+        for n in [2usize, 3, 5, 8, 23] {
+            let g = path_graph(n);
+            let seq = SyncExecutor
+                .run(
+                    &g,
+                    min_id_programs(n, n as u64 + 2),
+                    &ExecutorConfig::default(),
+                )
+                .unwrap();
+            let mk = || min_id_programs(n, n as u64 + 2);
+            for report in run_both(&g, mk, &ExecutorConfig::default()) {
+                assert_eq!(seq, report, "n={n}");
+            }
         }
     }
 
@@ -873,27 +919,44 @@ mod tests {
         });
     }
 
-    /// Sends to a non-neighbor on one shard: both processes must fold the
-    /// same [`ExecutionError`].
+    /// Sends to a non-neighbor at a configurable node and round: both
+    /// processes must fold the same [`ExecutionError`].
     struct BadSender {
         bad_node: usize,
+        bad_round: u64,
     }
     impl NodeProgram for BadSender {
         type Message = usize;
         type Output = ();
         fn init(&mut self, ctx: &NodeContext<'_>, outbox: &mut Outbox<'_, usize>) {
-            if ctx.id.0 == self.bad_node {
+            if ctx.id.0 == self.bad_node && self.bad_round == 0 {
                 outbox.send(NodeId(ctx.id.0 + 2), 1);
             }
         }
         fn round(
             &mut self,
-            _: &NodeContext<'_>,
+            ctx: &NodeContext<'_>,
             _: &Inbox<'_, usize>,
-            _: &mut Outbox<'_, usize>,
+            outbox: &mut Outbox<'_, usize>,
         ) -> RoundAction<()> {
-            RoundAction::Halt(())
+            if ctx.id.0 == self.bad_node && self.bad_round == ctx.round {
+                outbox.send(NodeId(ctx.id.0 + 2), 1);
+            }
+            if ctx.round >= 3 {
+                RoundAction::Halt(())
+            } else {
+                RoundAction::Continue
+            }
         }
+    }
+
+    fn bad_senders(n: usize, bad_node: usize, bad_round: u64) -> Vec<BadSender> {
+        (0..n)
+            .map(|_| BadSender {
+                bad_node,
+                bad_round,
+            })
+            .collect()
     }
 
     #[test]
@@ -901,31 +964,153 @@ mod tests {
         let g = path_graph(10);
         // One offender in the leader's block, one in the follower's.
         for bad_node in [1usize, 7] {
-            let mk = || (0..10).map(|_| BadSender { bad_node }).collect::<Vec<_>>();
+            let mk = || bad_senders(10, bad_node, 0);
             let seq = SyncExecutor
                 .run(&g, mk(), &ExecutorConfig::default())
                 .unwrap_err();
-            let listener = SocketListener::bind("127.0.0.1:0").unwrap();
-            let addr = listener.local_addr().unwrap();
-            thread::scope(|s| {
-                let follower = s.spawn(|| {
-                    SocketSession::connect(addr, Duration::from_secs(10))
-                        .unwrap()
-                        .run_program(Role::Follower, &g, mk(), &ExecutorConfig::default())
-                });
-                let leader = listener.accept().unwrap().run_program(
-                    Role::Leader,
-                    &g,
-                    mk(),
-                    &ExecutorConfig::default(),
-                );
-                for result in [leader, follower.join().expect("follower thread")] {
-                    match result {
-                        Err(TransportError::Execution(e)) => assert_eq!(e, seq),
-                        other => panic!("expected the sequential error, got {other:?}"),
-                    }
-                }
-            });
+            assert_both_fail_with(run_both_results(&g, mk, &ExecutorConfig::default()), &seq);
+        }
+    }
+
+    #[test]
+    fn first_error_matches_sequential_from_any_node_and_round() {
+        let g = path_graph(12);
+        // Offenders in the leader's block (0, 5) and the follower's (9), in
+        // the init round and in a later one.
+        for bad_node in [0usize, 5, 9] {
+            for bad_round in [0u64, 2] {
+                let mk = || bad_senders(12, bad_node, bad_round);
+                let seq = SyncExecutor
+                    .run(&g, mk(), &ExecutorConfig::default())
+                    .unwrap_err();
+                assert_both_fail_with(run_both_results(&g, mk, &ExecutorConfig::default()), &seq);
+            }
+        }
+    }
+
+    #[test]
+    fn degenerate_inputs_match_sequential() {
+        let empty = Graph::empty(0);
+        for report in run_both(&empty, Vec::<MinId>::new, &ExecutorConfig::default()) {
+            assert_eq!(report.rounds, 0);
+            assert!(report.outputs.is_empty());
+        }
+        let g = path_graph(3);
+        let seq = SyncExecutor
+            .run(&g, Vec::<MinId>::new(), &ExecutorConfig::default())
+            .unwrap_err();
+        assert!(matches!(seq, ExecutionError::ProgramCountMismatch { .. }));
+        assert_both_fail_with(
+            run_both_results(&g, Vec::<MinId>::new, &ExecutorConfig::default()),
+            &seq,
+        );
+    }
+
+    struct NeverHalts;
+    impl NodeProgram for NeverHalts {
+        type Message = ();
+        type Output = ();
+        fn init(&mut self, _: &NodeContext<'_>, _: &mut Outbox<'_, ()>) {}
+        fn round(
+            &mut self,
+            _: &NodeContext<'_>,
+            _: &Inbox<'_, ()>,
+            _: &mut Outbox<'_, ()>,
+        ) -> RoundAction<()> {
+            RoundAction::Continue
+        }
+    }
+
+    #[test]
+    fn round_limit_matches_sequential() {
+        let g = path_graph(6);
+        let config = ExecutorConfig {
+            max_rounds: 10,
+            ..ExecutorConfig::default()
+        };
+        let mk = || (0..6).map(|_| NeverHalts).collect::<Vec<_>>();
+        let seq = SyncExecutor.run(&g, mk(), &config).unwrap_err();
+        assert_eq!(seq, ExecutionError::RoundLimitExceeded { limit: 10 });
+        assert_both_fail_with(run_both_results(&g, mk, &config), &seq);
+    }
+
+    /// Only odd nodes exceed the budget, so violation counts (not just the
+    /// first error) must line up across the two shards.
+    struct FatMessage;
+    impl NodeProgram for FatMessage {
+        type Message = Vec<u64>;
+        type Output = ();
+        fn init(&mut self, ctx: &NodeContext<'_>, outbox: &mut Outbox<'_, Vec<u64>>) {
+            if ctx.id.0 % 2 == 1 {
+                outbox.broadcast(vec![0u64; 64]);
+            } else {
+                outbox.broadcast(vec![0u64; 1]);
+            }
+        }
+        fn round(
+            &mut self,
+            _: &NodeContext<'_>,
+            _: &Inbox<'_, Vec<u64>>,
+            _: &mut Outbox<'_, Vec<u64>>,
+        ) -> RoundAction<()> {
+            RoundAction::Halt(())
+        }
+    }
+
+    #[test]
+    fn bandwidth_counting_and_enforcement_match_sequential() {
+        let g = path_graph(8);
+        let mk = || (0..8).map(|_| FatMessage).collect::<Vec<_>>();
+        let seq = SyncExecutor
+            .run(&g, mk(), &ExecutorConfig::default())
+            .unwrap();
+        assert!(seq.bandwidth_violations > 0);
+        for report in run_both(&g, mk, &ExecutorConfig::default()) {
+            assert_eq!(seq, report);
+        }
+        let strict = ExecutorConfig::strict_congest();
+        let seq = SyncExecutor.run(&g, mk(), &strict).unwrap_err();
+        assert_both_fail_with(run_both_results(&g, mk, &strict), &seq);
+    }
+
+    /// Sends twice to the same neighbor in one round; on a 2-node path the
+    /// receiver sits in the other shard, so both copies cross the codec.
+    struct DoubleSender {
+        heard: Option<u32>,
+    }
+    impl NodeProgram for DoubleSender {
+        type Message = u32;
+        type Output = Option<u32>;
+        fn init(&mut self, ctx: &NodeContext<'_>, outbox: &mut Outbox<'_, u32>) {
+            if ctx.id.0 == 0 {
+                outbox.send(NodeId(1), 7);
+                outbox.send(NodeId(1), 9);
+            }
+        }
+        fn round(
+            &mut self,
+            _: &NodeContext<'_>,
+            inbox: &Inbox<'_, u32>,
+            _: &mut Outbox<'_, u32>,
+        ) -> RoundAction<Option<u32>> {
+            if let Some(&m) = inbox.from(NodeId(0)) {
+                self.heard = Some(m);
+            }
+            RoundAction::Halt(self.heard)
+        }
+    }
+
+    #[test]
+    fn duplicate_sends_keep_the_last_message_across_the_codec() {
+        let g = path_graph(2);
+        let mk = || {
+            (0..2)
+                .map(|_| DoubleSender { heard: None })
+                .collect::<Vec<_>>()
+        };
+        for report in run_both(&g, mk, &ExecutorConfig::default()) {
+            assert_eq!(report.outputs[1], Some(9));
+            assert_eq!(report.messages, 2, "both sends are charged");
         }
     }
 

@@ -1,4 +1,4 @@
-//! Wire-format properties: the byte layer under every transport backend.
+//! Wire-format properties: the byte layer under the socket backend.
 //!
 //! Three levels are pinned down here, each by proptests over arbitrary
 //! inputs:
@@ -77,7 +77,7 @@ proptest! {
         kind in kind_strategy(),
         payload in bytes(2048),
     ) {
-        // Buffer path (what the channel backend decodes in place).
+        // Buffer path (what `write_frame` sends in one `write_all`).
         let mut buf = Vec::new();
         encode_frame(kind, &payload, &mut buf);
         let mut pos = 0;

@@ -1,16 +1,15 @@
-//! Transport-conformance suite: every byte-level transport backend must
-//! produce [`RunReport`]s bit-identical to the sequential executor — same
-//! outputs, rounds, message/bit accounting and first error — over the seven
-//! structurally distinct graph families and both pipeline routes.
+//! Transport-conformance suite: every backend must produce [`RunReport`]s
+//! bit-identical to the sequential executor — same outputs, rounds,
+//! message/bit accounting and first error — over the seven structurally
+//! distinct graph families and both pipeline routes.
 //!
-//! CI runs the non-socket proptests across a backend × `PARALLEL_THREADS`
-//! matrix: `TRANSPORT_BACKEND` (`arena` / `channels`) selects which backend
-//! the equivalence properties exercise (unset runs both, the local default),
-//! while `PARALLEL_THREADS` pins the worker-thread count exactly as in
-//! `tests/properties.rs`. The socket tests (everything prefixed `socket_`)
-//! run as a separate non-matrix CI step — they involve real loopback TCP
-//! between threads/processes, so a flake there is attributable to the socket
-//! backend and not to the matrix dimension.
+//! CI runs the non-socket proptests across a `PARALLEL_THREADS` matrix: the
+//! variable pins the worker-thread count of the pooled executor (the
+//! in-process arena backend) exactly as in `tests/properties.rs`. The socket
+//! tests (everything prefixed `socket_`) run as a separate non-matrix CI
+//! step — they involve real loopback TCP between threads/processes, so a
+//! flake there is attributable to the socket backend and not to the matrix
+//! dimension.
 //!
 //! [`RunReport`]: congest_mds::congest::RunReport
 
@@ -22,8 +21,7 @@ use congest_mds::graphs::generators;
 use congest_mds::mds::pipeline::{self, DerandRoute, MdsConfig};
 use congest_mds::mds::verify;
 use congest_mds::transport::{
-    ChannelExecutor, FrameError, Role, SocketExecutor, SocketListener, SocketSession,
-    TransportError,
+    FrameError, Role, SocketExecutor, SocketListener, SocketSession, TransportError,
 };
 use proptest::prelude::*;
 use std::thread;
@@ -31,8 +29,8 @@ use std::time::Duration;
 
 /// Strategy: a graph drawn from one of the seven structurally distinct
 /// families of `tests/properties.rs` — the same sweep the in-process
-/// executor-equivalence suite uses, so the transport backends are held to
-/// the identical bar.
+/// executor-equivalence suite uses, so the pool and the socket backend are
+/// held to the identical bar.
 fn family_graph_strategy() -> impl Strategy<Value = Graph> {
     (0usize..7, 2usize..60, 1u32..30, 0u64..1000).prop_map(
         |(family, n, p_num, seed)| match family {
@@ -54,24 +52,6 @@ fn forced_threads(fallback: usize) -> usize {
         .and_then(|s| s.parse().ok())
         .unwrap_or(fallback)
         .max(1)
-}
-
-/// The backend dimension of the CI conformance matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Backend {
-    /// The in-process arena moved by the persistent worker pool.
-    Arena,
-    /// The serialized mpsc-channel backend (`ChannelExecutor`).
-    Channels,
-}
-
-/// Backends selected by `TRANSPORT_BACKEND`; unset exercises both.
-fn selected_backends() -> Vec<Backend> {
-    match std::env::var("TRANSPORT_BACKEND").ok().as_deref() {
-        Some("arena") => vec![Backend::Arena],
-        Some("channels") => vec![Backend::Channels],
-        _ => vec![Backend::Arena, Backend::Channels],
-    }
 }
 
 /// Flood-the-minimum-id workload with staggered halting, the same program
@@ -118,10 +98,10 @@ fn staggered_programs(n: usize, depth: u64) -> Vec<StaggeredFlood> {
 }
 
 /// The per-edge twin of [`StaggeredFlood`]: the same flood expressed as one
-/// explicit `send` per neighbor instead of a `broadcast`. On the framed
-/// backends the broadcast program ships one `Broadcast` frame entry per node
-/// per round where this twin ships `deg(v)` `Round` entries — everything in
-/// the report except `payloads` must still match bit for bit.
+/// explicit `send` per neighbor instead of a `broadcast`. Over a socket the
+/// broadcast program ships one cross-shard broadcast entry per node per
+/// round where this twin ships `deg(v)` per-edge entries — everything in the
+/// report except `payloads` must still match bit for bit.
 struct StaggeredFloodSends {
     best: usize,
     depth: u64,
@@ -186,46 +166,35 @@ fn assert_twins_agree(bcast: &RunReport<usize>, sends: &RunReport<usize>) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    // Raw node programs: every selected backend's report is bit-for-bit the
-    // sequential one across the graph families, group counts and the pinned
-    // thread count.
+    // Raw node programs: the backend the CI matrix selects — the in-process
+    // arena on the pool at the pinned thread count — reproduces the
+    // sequential report bit for bit across the graph families.
     #[test]
     fn selected_backends_are_bit_identical_to_sequential(
         graph in family_graph_strategy(),
         depth in 1u64..10,
-        groups in 2usize..7,
     ) {
         let config = ExecutorConfig::default();
-        let threads = forced_threads(3);
         let seq = SyncExecutor
             .run(&graph, staggered_programs(graph.n(), depth), &config)
             .unwrap();
-        for backend in selected_backends() {
-            let report: RunReport<usize> = match backend {
-                Backend::Arena => PooledExecutor::new(threads)
-                    .run(&graph, staggered_programs(graph.n(), depth), &config)
-                    .unwrap(),
-                Backend::Channels => ChannelExecutor::new(groups, threads)
-                    .run(&graph, staggered_programs(graph.n(), depth), &config)
-                    .unwrap(),
-            };
-            prop_assert_eq!(&seq, &report, "backend {:?}", backend);
-        }
+        let pooled = PooledExecutor::new(forced_threads(3))
+            .run(&graph, staggered_programs(graph.n(), depth), &config)
+            .unwrap();
+        prop_assert_eq!(&seq, &pooled);
     }
 
     // The broadcast program and its per-edge-send twin stay bit-identical
-    // modulo `payloads` on every selected backend: each backend reproduces
-    // its own sync reference exactly (payloads included — one broadcast
-    // frame entry per broadcasting node, not per edge), and the two sync
+    // modulo `payloads` on the selected backend: it reproduces each twin's
+    // sync reference exactly (payloads included), and the two sync
     // references differ only in stored payloads.
     #[test]
     fn broadcast_and_send_twins_agree_on_selected_backends(
         graph in family_graph_strategy(),
         depth in 1u64..10,
-        groups in 2usize..7,
     ) {
         let config = ExecutorConfig::default();
-        let threads = forced_threads(3);
+        let pool = PooledExecutor::new(forced_threads(3));
         let bcast = SyncExecutor
             .run(&graph, staggered_programs(graph.n(), depth), &config)
             .unwrap();
@@ -233,28 +202,14 @@ proptest! {
             .run(&graph, sends_programs(graph.n(), depth), &config)
             .unwrap();
         assert_twins_agree(&bcast, &sends);
-        for backend in selected_backends() {
-            let (b, s): (RunReport<usize>, RunReport<usize>) = match backend {
-                Backend::Arena => (
-                    PooledExecutor::new(threads)
-                        .run(&graph, staggered_programs(graph.n(), depth), &config)
-                        .unwrap(),
-                    PooledExecutor::new(threads)
-                        .run(&graph, sends_programs(graph.n(), depth), &config)
-                        .unwrap(),
-                ),
-                Backend::Channels => (
-                    ChannelExecutor::new(groups, threads)
-                        .run(&graph, staggered_programs(graph.n(), depth), &config)
-                        .unwrap(),
-                    ChannelExecutor::new(groups, threads)
-                        .run(&graph, sends_programs(graph.n(), depth), &config)
-                        .unwrap(),
-                ),
-            };
-            prop_assert_eq!(&bcast, &b, "broadcast twin, backend {:?}", backend);
-            prop_assert_eq!(&sends, &s, "send twin, backend {:?}", backend);
-        }
+        let b = pool
+            .run(&graph, staggered_programs(graph.n(), depth), &config)
+            .unwrap();
+        let s = pool
+            .run(&graph, sends_programs(graph.n(), depth), &config)
+            .unwrap();
+        prop_assert_eq!(&bcast, &b, "broadcast twin");
+        prop_assert_eq!(&sends, &s, "send twin");
     }
 }
 
@@ -263,7 +218,7 @@ proptest! {
     // route), so the case count stays low like the pipeline properties.
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    // Both pipeline routes: the composed measured pipeline on every selected
+    // Both pipeline routes: the composed measured pipeline on the selected
     // backend reproduces the sequential run's dominating set, assignment and
     // complete round ledger.
     #[test]
@@ -271,27 +226,16 @@ proptest! {
         n in 2usize..32,
         p_num in 2u32..30,
         seed in 0u64..500,
-        groups in 2usize..6,
     ) {
         let graph = generators::gnp(n, p_num as f64 / 100.0, seed);
-        let threads = forced_threads(3);
+        let pool = PooledExecutor::new(forced_threads(3));
         for route in [DerandRoute::NetworkDecomposition { k: 2 }, DerandRoute::Coloring] {
             let config = MdsConfig { route, ..MdsConfig::default() };
             let sync = pipeline::run(&graph, &config);
-            for backend in selected_backends() {
-                let result = match backend {
-                    Backend::Arena => {
-                        pipeline::run_on(&graph, &config, &PooledExecutor::new(threads))
-                    }
-                    Backend::Channels => {
-                        pipeline::run_on(&graph, &config, &ChannelExecutor::new(groups, threads))
-                    }
-                };
-                prop_assert_eq!(&result.dominating_set, &sync.dominating_set,
-                    "backend {:?}", backend);
-                prop_assert_eq!(&result.assignment, &sync.assignment, "backend {:?}", backend);
-                prop_assert_eq!(&result.ledger, &sync.ledger, "backend {:?}", backend);
-            }
+            let result = pipeline::run_on(&graph, &config, &pool);
+            prop_assert_eq!(&result.dominating_set, &sync.dominating_set);
+            prop_assert_eq!(&result.assignment, &sync.assignment);
+            prop_assert_eq!(&result.ledger, &sync.ledger);
             prop_assert!(verify::is_dominating_set(&graph, &sync.dominating_set));
         }
     }
