@@ -10,15 +10,19 @@
 //! Two deterministic [`Executor`]s drive the loop:
 //!
 //! * [`SyncExecutor`] — runs all nodes on the calling thread.
-//! * [`crate::pool::PooledExecutor`] — spawns workers once per run, keeps
-//!   them synchronized with a barrier and parallelizes execute and commit;
-//!   outputs, round counts, message counts and per-round statistics are
-//!   bit-identical to sequential execution for any thread count (see the
-//!   module docs for the argument).
+//! * [`crate::pool::PooledExecutor`] — spawns workers once per run and runs
+//!   the node programs of each contiguous block in parallel; the commit,
+//!   delivery and loop control are this module's sequential code, so outputs,
+//!   round counts, message counts and per-round statistics are bit-identical
+//!   to sequential execution for any thread count.
 //!
-//! The per-graph routing tables (mirror/slot-owner) are built once and cached
-//! inside [`Graph`] (see `crate::topology`), so repeated runs and
-//! multi-phase compositions share the `O(m log Δ)` setup.
+//! Both share `execute_block` (run one block's programs), `commit_round`
+//! (drain outboxes in node order into the arena) and `RoundLoop` (round
+//! counter and limit, halt detection, totals and [`RoundStats`]).
+//!
+//! The per-graph mirror table is built once and cached inside [`Graph`] (see
+//! `crate::topology`), so repeated runs and multi-phase compositions share
+//! the `O(m log Δ)` setup.
 //!
 //! Every run produces a [`RunReport`] with per-round [`RoundStats`]; the
 //! report feeds the same [`RoundLedger`] machinery used for closed-form
@@ -410,9 +414,9 @@ impl<M> ArenaDelivery<M> {
 /// LOCAL-model `usize::MAX` budget (or absurdly long runs) cannot overflow.
 /// Saturating `u64` addition is associative (it is ordinary addition clamped
 /// at a ceiling none of the partial sums can exceed without the total also
-/// exceeding it), which is what lets the pooled executor — and the socket
-/// backend — fold per-worker sub-totals and still match the sequential
-/// left-to-right accumulation bit for bit.
+/// exceeding it), which is what lets the socket backend fold per-shard
+/// sub-totals and still match the sequential left-to-right accumulation bit
+/// for bit.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct Accounting {
     /// Messages charged.
@@ -460,8 +464,8 @@ pub enum Committed<M> {
 /// arena slot through `mirror`, charges it into `acct`, and hands each
 /// committed unit to `sink` in send order.
 ///
-/// This is the single per-message commit primitive shared by every executor
-/// (sequential, pooled and the socket backend), so the check order —
+/// This is the single per-message commit primitive shared by the engine's
+/// `commit_round` (both executors) and the socket backend, so the check order —
 /// [`INVALID_SLOT`] → [`ExecutionError::NotANeighbor`] first, then
 /// the bandwidth charge and (if enforced) [`ExecutionError::BandwidthExceeded`]
 /// — is identical everywhere and first-error behavior cannot drift between
@@ -551,28 +555,76 @@ pub fn drain_outbox<M: MessageSize>(
     Ok(())
 }
 
-/// Commits the staged outputs of all nodes, in node order, into `delivery`,
-/// charging each message. Delivery slots were resolved at send time, so the
-/// hot loop is a straight [`ArenaDelivery::queue`] per message; a broadcast
-/// arrives as one [`Committed::Fan`] payload and is fanned out here through
-/// the sender's mirror range (same slots, same values the materialized
-/// per-edge copies would have produced). A send to a non-neighbor surfaces
-/// as [`INVALID_SLOT`], with the offending target parked in the sender's
-/// `invalid` scratch slot. Returns `(messages, bits)` sent this round.
+/// Runs `init` (round `0`) or `round` for the live nodes of one contiguous
+/// block starting at node `first`, staging their sends into the block's
+/// `pending`/`invalid` tables. `cur` is the whole delivered-message arena,
+/// indexed by global slot. Returns how many of the block's nodes halted.
+///
+/// The per-node tables are the block's slices, so [`SyncExecutor`] calls this
+/// once over all nodes and each pooled worker calls it on its own block.
 #[allow(clippy::too_many_arguments)]
-fn commit_round<M: MessageSize + Clone>(
+pub(crate) fn execute_block<P: NodeProgram>(
+    graph: &Graph,
+    first: usize,
+    round: u64,
+    cur: &[Option<P::Message>],
+    programs: &mut [P],
+    halted: &mut [bool],
+    outputs: &mut [Option<P::Output>],
+    pending: &mut [Pending<P::Message>],
+    invalid: &mut [Option<NodeId>],
+) -> usize {
+    let mut newly_halted = 0;
+    for (i, program) in programs.iter_mut().enumerate() {
+        if halted[i] {
+            continue;
+        }
+        let id = NodeId(first + i);
+        let ctx = NodeContext { id, graph, round };
+        pending[i].clear();
+        invalid[i] = None;
+        let mut outbox = Outbox::over(graph.neighbors(id), &mut pending[i], &mut invalid[i]);
+        if round == 0 {
+            program.init(&ctx, &mut outbox);
+            continue;
+        }
+        let inbox = Inbox::over(graph.neighbors(id), &cur[graph.slot_range(id)]);
+        if let RoundAction::Halt(out) = program.round(&ctx, &inbox, &mut outbox) {
+            outputs[i] = Some(out);
+            halted[i] = true;
+            newly_halted += 1;
+            pending[i].clear();
+        }
+    }
+    newly_halted
+}
+
+/// Commits the staged outputs of the block starting at node `first`, in node
+/// order, into `delivery`, charging each message into `acct`. Delivery slots
+/// were resolved at send time, so the hot loop is a straight
+/// [`ArenaDelivery::queue`] per message; a broadcast arrives as one
+/// [`Committed::Fan`] payload and is fanned out here through the sender's
+/// mirror range (same slots, same values the materialized per-edge copies
+/// would have produced). A send to a non-neighbor surfaces as
+/// [`INVALID_SLOT`], with the offending target parked in the sender's
+/// `invalid` scratch slot.
+///
+/// Committing blocks in block order on one thread is exactly committing all
+/// nodes in node order, which is why the pool shares this path unchanged.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn commit_round<M: MessageSize + Clone>(
     graph: &Graph,
     topo: &TopologyCache,
     delivery: &mut ArenaDelivery<M>,
+    first: usize,
     pending: &mut [Pending<M>],
     invalid: &[Option<NodeId>],
     acct: &mut Accounting,
     bandwidth: usize,
     enforce: bool,
-) -> Result<(u64, u64), ExecutionError> {
-    let mut round = Accounting::default();
-    for (v, staged) in pending.iter_mut().enumerate() {
-        let from = NodeId(v);
+) -> Result<(), ExecutionError> {
+    for (i, staged) in pending.iter_mut().enumerate() {
+        let from = NodeId(first + i);
         let range = graph.slot_range(from);
         let (base, degree) = (range.start, range.len());
         drain_outbox(
@@ -581,10 +633,10 @@ fn commit_round<M: MessageSize + Clone>(
             degree,
             from,
             staged,
-            invalid[v],
+            invalid[i],
             bandwidth,
             enforce,
-            &mut round,
+            acct,
             |unit| match unit {
                 Committed::Edge(slot, msg) => delivery.queue(slot, msg),
                 Committed::Fan(msg) => {
@@ -593,9 +645,95 @@ fn commit_round<M: MessageSize + Clone>(
             },
         )?;
     }
-    let (messages, bits_sent) = (round.messages, round.bits);
-    acct.fold(&round);
-    Ok((messages, bits_sent))
+    Ok(())
+}
+
+/// Loop control shared by both executors: the program-count check, the
+/// bandwidth budget, the round counter and limit, halt detection, the run
+/// totals and the per-round [`RoundStats`].
+pub(crate) struct RoundLoop<'c> {
+    config: &'c ExecutorConfig,
+    n: usize,
+    /// The budget every message of the run is charged against.
+    pub(crate) bandwidth: usize,
+    rounds: u64,
+    acct: Accounting,
+    round_stats: Vec<RoundStats>,
+}
+
+impl<'c> RoundLoop<'c> {
+    /// Checks that `programs` programs fit `graph` and resolves the budget.
+    pub(crate) fn new(
+        graph: &Graph,
+        programs: usize,
+        config: &'c ExecutorConfig,
+    ) -> Result<Self, ExecutionError> {
+        let n = graph.n();
+        if programs != n {
+            return Err(ExecutionError::ProgramCountMismatch { programs, nodes: n });
+        }
+        Ok(RoundLoop {
+            config,
+            n,
+            bandwidth: config
+                .bandwidth_bits
+                .unwrap_or_else(|| crate::congest_bandwidth_bits(n)),
+            rounds: 0,
+            acct: Accounting::default(),
+            round_stats: Vec::new(),
+        })
+    }
+
+    /// Calls `step(round, acct)` for round `0` (`init`) and then for every
+    /// further round until all nodes have halted. `step` executes the round,
+    /// commits it into `acct` (fresh each round) and advances the arena; it
+    /// returns how many nodes halted in the round.
+    pub(crate) fn run(
+        &mut self,
+        mut step: impl FnMut(u64, &mut Accounting) -> Result<usize, ExecutionError>,
+    ) -> Result<(), ExecutionError> {
+        let mut halted = 0;
+        loop {
+            let mut round = Accounting::default();
+            halted += step(self.rounds, &mut round)?;
+            self.acct.fold(&round);
+            if self.config.record_round_stats {
+                self.round_stats.push(RoundStats {
+                    round: self.rounds,
+                    messages: round.messages,
+                    bits: round.bits,
+                    halted,
+                });
+            }
+            if halted == self.n {
+                return Ok(());
+            }
+            if self.rounds >= self.config.max_rounds {
+                return Err(ExecutionError::RoundLimitExceeded {
+                    limit: self.config.max_rounds,
+                });
+            }
+            self.rounds += 1;
+        }
+    }
+
+    /// The report of a completed [`RoundLoop::run`].
+    pub(crate) fn report<O>(self, outputs: Vec<Option<O>>) -> RunReport<O> {
+        RunReport {
+            outputs: outputs
+                .into_iter()
+                .map(|o| o.expect("halted node has output"))
+                .collect(),
+            rounds: self.rounds,
+            messages: self.acct.messages,
+            payloads: self.acct.payloads,
+            total_bits: self.acct.bits,
+            max_message_bits: self.acct.max_message_bits,
+            bandwidth_violations: self.acct.violations,
+            bandwidth_bits: self.bandwidth,
+            round_stats: self.round_stats,
+        }
+    }
 }
 
 /// The sequential round loop over an [`ArenaDelivery`]. [`SyncExecutor`]
@@ -606,131 +744,46 @@ pub(crate) fn run_engine<P: NodeProgram>(
     mut programs: Vec<P>,
     config: &ExecutorConfig,
 ) -> Result<RunReport<P::Output>, ExecutionError> {
-    let n = graph.n();
-    if programs.len() != n {
-        return Err(ExecutionError::ProgramCountMismatch {
-            programs: programs.len(),
-            nodes: n,
-        });
-    }
-    let bandwidth = config
-        .bandwidth_bits
-        .unwrap_or_else(|| crate::congest_bandwidth_bits(n));
-    let mut delivery = ArenaDelivery::new(graph);
-
+    let mut rounds = RoundLoop::new(graph, programs.len(), config)?;
+    let (n, bandwidth) = (graph.n(), rounds.bandwidth);
     let topo = Arc::clone(graph.topology());
+    let mut delivery = ArenaDelivery::new(graph);
     let mut outputs: Vec<Option<P::Output>> = std::iter::repeat_with(|| None).take(n).collect();
     let mut halted = vec![false; n];
-    let mut halted_count = 0usize;
     // Outboxes start empty: a lone broadcast stores one payload (no per-edge
     // materialization), and mixed send patterns grow their vec once and keep
     // the capacity across rounds.
     let mut pending: Vec<Pending<P::Message>> =
         std::iter::repeat_with(Pending::new).take(n).collect();
     let mut invalid: Vec<Option<NodeId>> = vec![None; n];
-    let mut acct = Accounting::default();
-    let mut round_stats = Vec::new();
 
-    // Round 0: init.
-    for (v, program) in programs.iter_mut().enumerate() {
-        let ctx = NodeContext {
-            id: NodeId(v),
+    rounds.run(|round, acct| {
+        let newly_halted = execute_block(
             graph,
-            round: 0,
-        };
-        let mut outbox = Outbox::over(graph.neighbors(NodeId(v)), &mut pending[v], &mut invalid[v]);
-        program.init(&ctx, &mut outbox);
-    }
-    let (messages, bits) = commit_round(
-        graph,
-        &topo,
-        &mut delivery,
-        &mut pending,
-        &invalid,
-        &mut acct,
-        bandwidth,
-        config.enforce_bandwidth,
-    )?;
-    if config.record_round_stats {
-        round_stats.push(RoundStats {
-            round: 0,
-            messages,
-            bits,
-            halted: 0,
-        });
-    }
-
-    let mut round = 0u64;
-    loop {
-        delivery.advance();
-        if halted_count == n {
-            break;
-        }
-        round += 1;
-        if round > config.max_rounds {
-            return Err(ExecutionError::RoundLimitExceeded {
-                limit: config.max_rounds,
-            });
-        }
-
-        // Execute phase: run every live node's program against its inbox.
-        let cur = delivery.current();
-        for v in 0..n {
-            if halted[v] {
-                continue;
-            }
-            let id = NodeId(v);
-            let ctx = NodeContext { id, graph, round };
-            let inbox = Inbox::over(graph.neighbors(id), &cur[graph.slot_range(id)]);
-            pending[v].clear();
-            invalid[v] = None;
-            let mut outbox = Outbox::over(graph.neighbors(id), &mut pending[v], &mut invalid[v]);
-            match programs[v].round(&ctx, &inbox, &mut outbox) {
-                RoundAction::Continue => {}
-                RoundAction::Halt(out) => {
-                    outputs[v] = Some(out);
-                    halted[v] = true;
-                    halted_count += 1;
-                    pending[v].clear();
-                }
-            }
-        }
-
-        // Commit phase: merge all outboxes in node order.
-        let (messages, bits) = commit_round(
+            0,
+            round,
+            delivery.current(),
+            &mut programs,
+            &mut halted,
+            &mut outputs,
+            &mut pending,
+            &mut invalid,
+        );
+        commit_round(
             graph,
             &topo,
             &mut delivery,
+            0,
             &mut pending,
             &invalid,
-            &mut acct,
+            acct,
             bandwidth,
             config.enforce_bandwidth,
         )?;
-        if config.record_round_stats {
-            round_stats.push(RoundStats {
-                round,
-                messages,
-                bits,
-                halted: halted_count,
-            });
-        }
-    }
-
-    Ok(RunReport {
-        outputs: outputs
-            .into_iter()
-            .map(|o| o.expect("halted node has output"))
-            .collect(),
-        rounds: round,
-        messages: acct.messages,
-        payloads: acct.payloads,
-        total_bits: acct.bits,
-        max_message_bits: acct.max_message_bits,
-        bandwidth_violations: acct.violations,
-        bandwidth_bits: bandwidth,
-        round_stats,
-    })
+        delivery.advance();
+        Ok(newly_halted)
+    })?;
+    Ok(rounds.report(outputs))
 }
 
 #[cfg(test)]

@@ -16,10 +16,11 @@
 //! * [`engine`] — the execution engine: a CSR-indexed, double-buffered
 //!   message arena driven by deterministic [`engine::Executor`]s
 //!   ([`engine::SyncExecutor`] and the persistent worker-pool
-//!   [`pool::PooledExecutor`], bit-identical to each other),
-//!   charging every message against the CONGEST bandwidth budget of
+//!   [`pool::PooledExecutor`], which runs node programs in parallel and
+//!   commits through the same sequential code — bit-identical to each
+//!   other), charging every message against the CONGEST bandwidth budget of
 //!   `O(log n)` bits and recording per-round [`engine::RoundStats`]. The
-//!   per-graph routing tables are built once and cached inside [`Graph`], so
+//!   per-graph mirror table is built once and cached inside [`Graph`], so
 //!   repeated runs and multi-phase compositions share the setup.
 //! * [`compose::ComposedProgram`] — the program composition layer: sequences
 //!   heterogeneous node programs (and centrally simulated, closed-form-charged

@@ -1,116 +1,65 @@
-//! The persistent worker-pool executor: threads spawned once per run, a
-//! reusable barrier instead of per-round thread churn, and a parallelized
-//! outbox-commit phase — all bit-identical to [`SyncExecutor`].
+//! The persistent worker-pool executor: node programs run in parallel on
+//! workers spawned once per run; everything else is the sequential engine.
 //!
 //! # Why a pool
 //!
 //! A measured pipeline runs thousands of short engine rounds (the Theorem 1.2
-//! pipeline runs ~1.3k at `n = 10⁵`), so per-round thread spawns and a
-//! serial commit phase would dominate any parallel speedup. [`PooledExecutor`]
-//! spawns its workers once per [`Executor::run`], keeps them in lockstep
-//! with one reusable [`Barrier`] (two waits per round), and lets every
-//! worker execute *and commit* its own contiguous node block.
+//! pipeline runs ~1.3k at `n = 10⁵`), so spawning threads per round would
+//! dominate any parallel speedup. [`PooledExecutor`] spawns its workers once
+//! per [`Executor::run`] and keeps them in lockstep with one reusable
+//! [`Barrier`].
 //!
 //! # Round protocol
 //!
-//! Worker 0 is the calling thread; it doubles as the coordinator. Each
-//! worker owns a contiguous block of nodes, the matching slice of every
-//! per-node table, and the contiguous receiver-side chunk of the message
-//! arena covering its nodes' CSR ranges. One round proceeds as:
+//! The nodes are cut into contiguous blocks, one per worker; worker 0 is the
+//! calling thread. One round proceeds as:
 //!
-//! 1. **execute + commit** — each worker runs its live programs, then drains
-//!    each outbox in node order: it resolves the delivery slot through the
-//!    shared `TopologyCache` mirror, charges the message into its private
-//!    `WorkerRound` sub-totals, and routes `(slot, msg)` into a per-
-//!    destination-block batch. Batches are handed over through one mutex-
-//!    protected transfer cell per (sender-block, receiver-block) pair via
-//!    `mem::swap` — no steady-state allocation, and each cell is touched by
-//!    exactly one sender and one receiver per round, so the locks never
-//!    contend. Finally the worker publishes its sub-totals.
-//! 2. **barrier A.**
-//! 3. **deliver / reduce** — each worker sparse-clears the slots of its arena
-//!    chunk written last round and drains its incoming transfer cells into
-//!    the chunk (last write per slot wins, in sender order). Concurrently
-//!    the coordinator folds the published sub-totals *in block order* into
-//!    the run totals and decides: continue, stop (all halted), or stop with
-//!    the run's error.
-//! 4. **barrier B** — after which every worker reads the coordinator's
-//!    command and either loops or exits.
+//! 1. **barrier (start)** — every worker enters the round.
+//! 2. **execute** — each worker runs `init` (round `0`) or `round` for the
+//!    live nodes of its block through the engine's `execute_block`, reading
+//!    inboxes from the shared arena and staging sends into its block's own
+//!    outbox tables.
+//! 3. **barrier (done)** — every block has executed.
+//! 4. **commit** — the calling thread drains the blocks' outboxes in block
+//!    order through the engine's `commit_round`, advances the arena and runs
+//!    the shared loop control (halt count, round limit, per-round
+//!    [`RoundStats`](crate::engine::RoundStats)).
+//!
+//! The arena sits in an [`RwLock`] (read by all workers during execute,
+//! written by the caller during commit) and each block's outbox tables in
+//! their own [`Mutex`]; the barriers keep those phases apart, so no lock is
+//! ever contended and the module needs no `unsafe`.
 //!
 //! # Why the report is bit-identical to [`SyncExecutor`]
 //!
-//! *Disjoint slots.* The mirror table is a bijection between directed-edge
-//! slots; distinct senders therefore write **disjoint** arena slots, and all
-//! slots of one receiver block land in that block's chunk. Routing a message
-//! touches only the sender's private batch; delivery touches only the
-//! receiver's own chunk — no write is ever racy, which is why the whole
-//! scheme works under `#![forbid(unsafe_code)]`.
+//! Execute only touches the block's own programs and outbox tables and reads
+//! last round's arena, so its result does not depend on how nodes are cut
+//! into blocks or scheduled. Commit, delivery and loop control are the
+//! sequential engine's own code, run on one thread in node order: the
+//! accounting, the "last message wins" delivery and the first error are
+//! those of [`SyncExecutor`] by construction.
 //!
-//! *Per-slot order.* All messages for one slot come from one sender (the
-//! slot names the directed edge), are batched in that sender's send order,
-//! and are delivered in that order — so "last message wins" picks the same
-//! message as the sequential commit.
-//!
-//! *Accounting.* Message and bit counters are saturating-`u64` folds;
-//! saturating addition is associative, so folding per-worker sub-totals in
-//! block order equals the sequential left-to-right accumulation exactly
-//! (see `engine::Accounting`). `max_message_bits` is a max; violation
-//! counts are sums.
-//!
-//! *First error.* Within a worker, the first error is found in node order
-//! (outboxes drain in node order, messages in send order, with the same
-//! check order as the sequential `commit_round`). Across workers, the
-//! coordinator keeps the error of the **lowest block**, which is exactly
-//! the first error in global node order. Everything a higher node did after
-//! that point is discarded along with the report, just as in the sequential
-//! engine.
-//!
-//! # Caveats
-//!
-//! The synchronous protocol assumes node programs do not panic: a worker
-//! that unwinds never reaches the barrier and the run would hang rather
-//! than propagate the panic. [`SyncExecutor`] runs programs on the calling
-//! thread, so a panic there unwinds to the caller. Engine-facing programs
-//! in this workspace are panic-free by contract.
+//! A node program that panics on any worker is caught there; the caller
+//! releases every worker and then resumes the panic of the lowest panicking
+//! block — the first in node order — so it unwinds to the caller just as it
+//! does on [`SyncExecutor`].
 //!
 //! [`SyncExecutor`]: crate::engine::SyncExecutor
 
 use crate::engine::{
-    drain_outbox, run_engine, Accounting, Committed, ExecutionError, Executor, ExecutorConfig,
-    RoundStats, RunReport,
+    commit_round, execute_block, run_engine, ArenaDelivery, ExecutionError, Executor,
+    ExecutorConfig, RoundLoop, RunReport,
 };
-use crate::message::MessageSize;
-use crate::program::{Inbox, NodeContext, NodeProgram, Outbox, Pending, RoundAction};
-use crate::topology::TopologyCache;
+use crate::program::{NodeProgram, Pending};
 use crate::{Graph, NodeId};
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Barrier, Mutex};
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Barrier, Mutex, RwLock};
 use std::thread;
 
-/// Coordinator verdict after folding a round: keep going.
-const CMD_RUN: u8 = 0;
-/// Coordinator verdict after folding a round: exit the round loop (all nodes
-/// halted, or the run ends with an error).
-const CMD_STOP: u8 = 1;
-
-/// One routed unit inside a transfer-cell batch.
-#[derive(Debug)]
-enum Routed<M> {
-    /// One message for one destination arena slot.
-    Edge(usize, M),
-    /// One broadcast payload from the given sender; the receiving block fans
-    /// it out over the sender's mirror targets that fall in its own chunk.
-    /// This is what keeps a broadcast at one transferred payload per touched
-    /// block instead of one per edge.
-    Fan(usize, M),
-}
-
-/// A batch of committed messages routed to one receiver block, in sender
-/// order.
-type RoutedBatch<M> = Vec<Routed<M>>;
-
 /// The persistent worker-pool executor. See the [module docs](self) for the
-/// protocol and the determinism argument.
+/// protocol and why it cannot change a report.
 ///
 /// Like every [`Executor`], it produces [`RunReport`]s bit-identical to
 /// [`SyncExecutor`](crate::engine::SyncExecutor) for any thread count — the
@@ -184,352 +133,60 @@ impl Executor for PooledExecutor {
         if width <= 1 {
             return run_engine(graph, programs, config);
         }
-        run_engine_pooled(graph, programs, config, width)
+        run_pooled(graph, programs, config, width)
     }
 }
 
-/// One worker's sub-totals for one round, published to the coordinator
-/// through a mutex and folded in block order.
-#[derive(Default)]
-struct WorkerRound {
-    acct: Accounting,
+/// What one block's execute hands to the commit: its nodes' staged outboxes,
+/// how many of them halted, and the panic of a node program, if one panicked.
+struct Staged<M> {
+    pending: Vec<Pending<M>>,
+    invalid: Vec<Option<NodeId>>,
     newly_halted: usize,
-    /// First error this worker's block produced, in node/send order.
-    error: Option<ExecutionError>,
+    panic: Option<Box<dyn Any + Send>>,
 }
 
-/// State shared (read-only or synchronized) by all workers of one run.
-struct PoolShared<'g, M> {
-    graph: &'g Graph,
-    topo: &'g TopologyCache,
-    /// Number of worker blocks.
-    width: usize,
-    /// Nodes per block (the last block may be smaller).
-    chunk: usize,
-    bandwidth: usize,
-    enforce: bool,
-    /// One reusable barrier, waited on twice per round (A and B).
-    barrier: Barrier,
-    /// `width × width` transfer cells; `xfer[from * width + to]` carries the
-    /// batch sender block `from` committed for receiver block `to`. Each
-    /// cell is written by one worker and drained by one worker per round.
-    xfer: Vec<Mutex<RoutedBatch<M>>>,
-    /// Per-worker published [`WorkerRound`] sub-totals.
-    published: Vec<Mutex<WorkerRound>>,
-    /// The coordinator's verdict, written between barriers A and B and read
-    /// by workers only after B.
-    command: AtomicU8,
-}
-
-/// The coordinator's run-level state (held by worker 0, the calling thread).
-struct Coordinator<'c> {
-    config: &'c ExecutorConfig,
-    n: usize,
-    acct: Accounting,
-    round_stats: Vec<RoundStats>,
-    halted: usize,
-    /// The round whose sub-totals the next `reduce` folds (0 = init).
-    rounds: u64,
-    error: Option<ExecutionError>,
-}
-
-impl Coordinator<'_> {
-    /// Folds the per-worker sub-totals of the round that just committed, in
-    /// block (= node) order, and decides whether the pool continues. Runs
-    /// between barriers A and B, concurrently with delivery.
-    fn reduce<M>(&mut self, shared: &PoolShared<'_, M>) {
-        let mut messages = 0u64;
-        let mut payloads = 0u64;
-        let mut bits = 0u64;
-        let mut newly = 0usize;
-        let mut error: Option<ExecutionError> = None;
-        for cell in &shared.published {
-            let rep = std::mem::take(&mut *cell.lock().expect("publish lock"));
-            messages += rep.acct.messages;
-            payloads += rep.acct.payloads;
-            bits = bits.saturating_add(rep.acct.bits);
-            self.acct.max_message_bits = self.acct.max_message_bits.max(rep.acct.max_message_bits);
-            self.acct.violations += rep.acct.violations;
-            newly += rep.newly_halted;
-            if error.is_none() {
-                // Lowest block wins: the first error in global node order.
-                error = rep.error;
-            }
-        }
-        if let Some(e) = error {
-            self.error = Some(e);
-            shared.command.store(CMD_STOP, Ordering::Release);
-            return;
-        }
-        self.acct.messages = self.acct.messages.saturating_add(messages);
-        self.acct.payloads = self.acct.payloads.saturating_add(payloads);
-        self.acct.bits = self.acct.bits.saturating_add(bits);
-        self.halted += newly;
-        if self.config.record_round_stats {
-            self.round_stats.push(RoundStats {
-                round: self.rounds,
-                messages,
-                bits,
-                halted: self.halted,
-            });
-        }
-        if self.halted == self.n {
-            shared.command.store(CMD_STOP, Ordering::Release);
-        } else if self.rounds + 1 > self.config.max_rounds {
-            self.error = Some(ExecutionError::RoundLimitExceeded {
-                limit: self.config.max_rounds,
-            });
-            shared.command.store(CMD_STOP, Ordering::Release);
-        } else {
-            self.rounds += 1;
-        }
-    }
-}
-
-/// One worker's slice of the run state: a contiguous node block plus the
-/// matching contiguous chunk of the delivered-message arena.
-struct WorkerBlock<'a, P: NodeProgram> {
+/// One worker's contiguous node block: its slices of the node-indexed tables
+/// and its [`Staged`] cell.
+struct Block<'a, P: NodeProgram> {
     /// First node of the block.
     first: usize,
     programs: &'a mut [P],
     halted: &'a mut [bool],
     outputs: &'a mut [Option<P::Output>],
-    pending: &'a mut [Pending<P::Message>],
-    invalid: &'a mut [Option<NodeId>],
-    /// The arena slots covering every inbox of the block's nodes.
-    cur: &'a mut [Option<P::Message>],
+    staged: &'a Mutex<Staged<P::Message>>,
 }
 
-/// Drains one node's staged output through the engine's shared
-/// [`drain_outbox`] primitive: charges each message into `report` and routes
-/// it to the destination block's batch, with the exact per-message check
-/// order of the sequential `commit_round`. A broadcast routes one
-/// [`Routed::Fan`] payload per *touched block* (the sender's mirror targets
-/// have nondecreasing owners, so a consecutive-dedupe scan finds them)
-/// instead of one entry per edge.
-fn route_outbox<M: MessageSize + Clone>(
-    shared: &PoolShared<'_, M>,
-    from: NodeId,
-    staged: &mut Pending<M>,
-    invalid_to: &Option<NodeId>,
-    local_out: &mut [RoutedBatch<M>],
-    report: &mut WorkerRound,
-) {
-    if report.error.is_some() {
-        // A lower node of this block already errored; everything after it is
-        // discarded with the report, so don't route or charge.
-        staged.clear();
-        return;
-    }
-    let range = shared.graph.slot_range(from);
-    let (base, degree) = (range.start, range.len());
-    let (topo, chunk) = (shared.topo, shared.chunk);
-    if let Err(e) = drain_outbox(
-        &topo.mirror,
-        base,
-        degree,
-        from,
-        staged,
-        *invalid_to,
-        shared.bandwidth,
-        shared.enforce,
-        &mut report.acct,
-        |unit| match unit {
-            Committed::Edge(dest, msg) => {
-                let owner = topo.slot_owner[dest] as usize;
-                local_out[owner / chunk].push(Routed::Edge(dest, msg));
-            }
-            Committed::Fan(msg) => {
-                let mut prev = usize::MAX;
-                for &dest in &topo.mirror[base..base + degree] {
-                    let block = topo.slot_owner[dest] as usize / chunk;
-                    if block != prev {
-                        local_out[block].push(Routed::Fan(from.0, msg.clone()));
-                        prev = block;
-                    }
-                }
-            }
-        },
-    ) {
-        report.error = Some(e);
-    }
-}
-
-/// Hands this worker's routed batches to the transfer cells via `mem::swap`
-/// (the cell is empty — its receiver drained it last round — so the worker
-/// gets an empty buffer back and the steady state allocates nothing).
-fn flush<M>(shared: &PoolShared<'_, M>, me: usize, local_out: &mut [RoutedBatch<M>]) {
-    for (to, batch) in local_out.iter_mut().enumerate() {
-        if batch.is_empty() {
-            continue;
-        }
-        let mut cell = shared.xfer[me * shared.width + to]
-            .lock()
-            .expect("xfer lock");
-        debug_assert!(cell.is_empty(), "receiver drained the cell last round");
-        std::mem::swap(&mut *cell, batch);
-    }
-}
-
-/// Sparse-clears this worker's arena chunk and drains its incoming transfer
-/// cells into it, in sender-block order. All messages for one slot come from
-/// one sender block in send order, so "last write wins" matches the
-/// sequential arena semantics. A [`Routed::Fan`] payload is expanded here:
-/// the receiver walks the sender's mirror range and writes the slots that
-/// fall inside its own chunk — the same slots and values the materialized
-/// per-edge copies would have carried.
-fn deliver<M: Clone>(
-    shared: &PoolShared<'_, M>,
-    me: usize,
-    slot_base: usize,
-    cur: &mut [Option<M>],
-    cur_written: &mut Vec<usize>,
-    scratch: &mut RoutedBatch<M>,
-) {
-    for &s in cur_written.iter() {
-        cur[s] = None;
-    }
-    cur_written.clear();
-    let chunk_len = cur.len();
-    for from in 0..shared.width {
-        {
-            let mut cell = shared.xfer[from * shared.width + me]
-                .lock()
-                .expect("xfer lock");
-            std::mem::swap(&mut *cell, scratch);
-        }
-        for routed in scratch.drain(..) {
-            match routed {
-                Routed::Edge(slot, msg) => {
-                    let local = slot - slot_base;
-                    if cur[local].replace(msg).is_none() {
-                        cur_written.push(local);
-                    }
-                }
-                Routed::Fan(sender, msg) => {
-                    let range = shared.graph.slot_range(NodeId(sender));
-                    for &dest in &shared.topo.mirror[range] {
-                        if dest < slot_base || dest >= slot_base + chunk_len {
-                            continue;
-                        }
-                        let local = dest - slot_base;
-                        if cur[local].replace(msg.clone()).is_none() {
-                            cur_written.push(local);
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// The per-worker round loop. Worker 0 passes a [`Coordinator`] and folds
-/// the published sub-totals between the barriers; everyone delivers their
-/// own chunk there.
-fn pooled_worker<P: NodeProgram>(
-    shared: &PoolShared<'_, P::Message>,
-    me: usize,
-    block: WorkerBlock<'_, P>,
-    mut coord: Option<&mut Coordinator<'_>>,
-) {
-    let WorkerBlock {
-        first,
-        programs,
-        halted,
-        outputs,
-        pending,
-        invalid,
-        cur,
-    } = block;
-    let graph = shared.graph;
-    let slot_base = graph.slot_range(NodeId(first)).start;
-    let mut cur_written: Vec<usize> = Vec::new();
-    let mut local_out: Vec<RoutedBatch<P::Message>> =
-        (0..shared.width).map(|_| Vec::new()).collect();
-    let mut scratch: RoutedBatch<P::Message> = Vec::new();
-
-    // Round 0: init + commit.
-    let mut report = WorkerRound::default();
-    for (i, program) in programs.iter_mut().enumerate() {
-        let v = NodeId(first + i);
-        let ctx = NodeContext {
-            id: v,
-            graph,
-            round: 0,
-        };
-        let mut outbox = Outbox::over(graph.neighbors(v), &mut pending[i], &mut invalid[i]);
-        program.init(&ctx, &mut outbox);
-        route_outbox(
-            shared,
-            v,
-            &mut pending[i],
-            &invalid[i],
-            &mut local_out,
-            &mut report,
-        );
-    }
-    flush(shared, me, &mut local_out);
-    *shared.published[me].lock().expect("publish lock") = report;
-
-    let mut round = 0u64;
-    loop {
-        shared.barrier.wait(); // A: all commits of this round are flushed.
-        if let Some(c) = coord.as_deref_mut() {
-            c.reduce(shared);
-        }
-        deliver(shared, me, slot_base, cur, &mut cur_written, &mut scratch);
-        shared.barrier.wait(); // B: delivery done, verdict published.
-        if shared.command.load(Ordering::Acquire) == CMD_STOP {
-            break;
-        }
-        round += 1;
-
-        // Execute + commit this round's block.
-        let mut report = WorkerRound::default();
-        for i in 0..programs.len() {
-            if halted[i] {
-                continue;
-            }
-            let v = NodeId(first + i);
-            let ctx = NodeContext {
-                id: v,
+impl<P: NodeProgram> Block<'_, P> {
+    /// Executes `round` for the block against the delivered arena, catching a
+    /// panicking node program into the block's [`Staged`] cell.
+    fn execute(&mut self, graph: &Graph, round: u64, arena: &RwLock<ArenaDelivery<P::Message>>) {
+        let arena = arena.read().expect("arena lock");
+        let mut staged = self.staged.lock().expect("staged lock");
+        let staged = &mut *staged;
+        let executed = catch_unwind(AssertUnwindSafe(|| {
+            execute_block(
                 graph,
+                self.first,
                 round,
-            };
-            let range = graph.slot_range(v);
-            let inbox = Inbox::over(
-                graph.neighbors(v),
-                &cur[range.start - slot_base..range.end - slot_base],
-            );
-            pending[i].clear();
-            invalid[i] = None;
-            let mut outbox = Outbox::over(graph.neighbors(v), &mut pending[i], &mut invalid[i]);
-            match programs[i].round(&ctx, &inbox, &mut outbox) {
-                RoundAction::Continue => {}
-                RoundAction::Halt(out) => {
-                    outputs[i] = Some(out);
-                    halted[i] = true;
-                    report.newly_halted += 1;
-                    pending[i].clear();
-                }
-            }
-            route_outbox(
-                shared,
-                v,
-                &mut pending[i],
-                &invalid[i],
-                &mut local_out,
-                &mut report,
-            );
+                arena.current(),
+                self.programs,
+                self.halted,
+                self.outputs,
+                &mut staged.pending,
+                &mut staged.invalid,
+            )
+        }));
+        match executed {
+            Ok(newly_halted) => staged.newly_halted = newly_halted,
+            Err(panic) => staged.panic = Some(panic),
         }
-        flush(shared, me, &mut local_out);
-        *shared.published[me].lock().expect("publish lock") = report;
     }
 }
 
 /// Runs `programs` on the pool with `width` worker blocks (`width >= 2`,
 /// `graph.n() >= width`). See the module docs for the protocol.
-fn run_engine_pooled<P>(
+fn run_pooled<P>(
     graph: &Graph,
     mut programs: Vec<P>,
     config: &ExecutorConfig,
@@ -540,126 +197,109 @@ where
     P::Message: Send + Sync,
     P::Output: Send,
 {
-    let n = graph.n();
-    if programs.len() != n {
-        return Err(ExecutionError::ProgramCountMismatch {
-            programs: programs.len(),
-            nodes: n,
-        });
-    }
-    let bandwidth = config
-        .bandwidth_bits
-        .unwrap_or_else(|| crate::congest_bandwidth_bits(n));
-    let chunk = n.div_ceil(width).max(1);
-    // Effective width: drop trailing empty blocks (width <= n keeps >= 2).
-    let width = n.div_ceil(chunk);
-    debug_assert!(width >= 2);
-
+    let mut rounds = RoundLoop::new(graph, programs.len(), config)?;
+    let (n, bandwidth) = (graph.n(), rounds.bandwidth);
+    let chunk = n.div_ceil(width);
     let topo = graph.topology();
-    let shared = PoolShared::<P::Message> {
-        graph,
-        topo,
-        width,
-        chunk,
-        bandwidth,
-        enforce: config.enforce_bandwidth,
-        barrier: Barrier::new(width),
-        xfer: (0..width * width).map(|_| Mutex::new(Vec::new())).collect(),
-        published: (0..width)
-            .map(|_| Mutex::new(WorkerRound::default()))
-            .collect(),
-        command: AtomicU8::new(CMD_RUN),
-    };
-
     let mut outputs: Vec<Option<P::Output>> = std::iter::repeat_with(|| None).take(n).collect();
     let mut halted = vec![false; n];
-    // Empty outboxes, as in the sequential engine: a lone broadcast stores
-    // one payload and never grows the per-edge vec.
-    let mut pending: Vec<Pending<P::Message>> =
-        std::iter::repeat_with(Pending::new).take(n).collect();
-    let mut invalid: Vec<Option<NodeId>> = vec![None; n];
-    // Single delivered-message arena: the transfer cells play the role of
-    // the sequential engine's write side.
-    let mut cur: Vec<Option<P::Message>> = std::iter::repeat_with(|| None)
-        .take(graph.slot_count())
+    // One cell per block; `width <= n` leaves at least two non-empty blocks.
+    let staged: Vec<Mutex<Staged<P::Message>>> = (0..n)
+        .step_by(chunk)
+        .map(|first| {
+            let len = chunk.min(n - first);
+            Mutex::new(Staged {
+                pending: std::iter::repeat_with(Pending::new).take(len).collect(),
+                invalid: vec![None; len],
+                newly_halted: 0,
+                panic: None,
+            })
+        })
         .collect();
+    let arena = RwLock::new(ArenaDelivery::new(graph));
+    let barrier = Barrier::new(staged.len());
+    // Set once by the caller before its last start-barrier wait (`Release`);
+    // workers read it after that barrier (`Acquire`) and exit.
+    let done = AtomicBool::new(false);
 
-    let mut coord = Coordinator {
-        config,
-        n,
-        acct: Accounting::default(),
-        round_stats: Vec::new(),
-        halted: 0,
-        rounds: 0,
-        error: None,
-    };
-
-    let shared_ref = &shared;
-    thread::scope(|s| {
-        // Carve the flat state into per-worker blocks: node-indexed tables
-        // by `chunk`, the arena at the matching CSR boundaries.
-        let mut blocks: Vec<WorkerBlock<'_, P>> = Vec::with_capacity(width);
-        let mut cur_rest: &mut [Option<P::Message>] = &mut cur;
-        let mut carved = 0usize;
-        let node_tables = programs
+    let outcome = thread::scope(|s| {
+        let mut blocks = programs
             .chunks_mut(chunk)
             .zip(halted.chunks_mut(chunk))
             .zip(outputs.chunks_mut(chunk))
-            .zip(pending.chunks_mut(chunk))
-            .zip(invalid.chunks_mut(chunk))
-            .enumerate();
-        for (w, ((((progs, halts), outs), pends), invs)) in node_tables {
-            let first = w * chunk;
-            let last = first + progs.len();
-            let hi = if last == n {
-                graph.slot_count()
-            } else {
-                graph.slot_range(NodeId(last)).start
-            };
-            let (mine, rest) = cur_rest.split_at_mut(hi - carved);
-            cur_rest = rest;
-            carved = hi;
-            blocks.push(WorkerBlock {
-                first,
-                programs: progs,
-                halted: halts,
-                outputs: outs,
-                pending: pends,
-                invalid: invs,
-                cur: mine,
+            .zip(&staged)
+            .enumerate()
+            .map(|(b, (((programs, halted), outputs), staged))| Block {
+                first: b * chunk,
+                programs,
+                halted,
+                outputs,
+                staged,
+            });
+        let mut own = blocks.next().expect("width >= 2");
+        let (arena, barrier, done) = (&arena, &barrier, &done);
+        for mut block in blocks {
+            s.spawn(move || {
+                for round in 0.. {
+                    barrier.wait(); // start
+                    if done.load(Ordering::Acquire) {
+                        break;
+                    }
+                    block.execute(graph, round, arena);
+                    barrier.wait(); // done
+                }
             });
         }
-        let mut iter = blocks.into_iter();
-        let block0 = iter.next().expect("width >= 2");
-        for (i, block) in iter.enumerate() {
-            s.spawn(move || pooled_worker::<P>(shared_ref, i + 1, block, None));
-        }
-        pooled_worker::<P>(shared_ref, 0, block0, Some(&mut coord));
-    });
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            rounds.run(|round, acct| {
+                barrier.wait(); // start
+                own.execute(graph, round, arena);
+                barrier.wait(); // done
 
-    if let Some(e) = coord.error {
-        return Err(e);
-    }
-    Ok(RunReport {
-        outputs: outputs
-            .into_iter()
-            .map(|o| o.expect("halted node has output"))
-            .collect(),
-        rounds: coord.rounds,
-        messages: coord.acct.messages,
-        payloads: coord.acct.payloads,
-        total_bits: coord.acct.bits,
-        max_message_bits: coord.acct.max_message_bits,
-        bandwidth_violations: coord.acct.violations,
-        bandwidth_bits: bandwidth,
-        round_stats: coord.round_stats,
-    })
+                // A panic beats any commit error: sequential execution would
+                // have unwound before committing.
+                let mut newly_halted = 0;
+                for cell in &staged {
+                    let mut cell = cell.lock().expect("staged lock");
+                    if let Some(panic) = cell.panic.take() {
+                        resume_unwind(panic);
+                    }
+                    newly_halted += cell.newly_halted;
+                }
+                let mut arena = arena.write().expect("arena lock");
+                for (b, cell) in staged.iter().enumerate() {
+                    let cell = &mut *cell.lock().expect("staged lock");
+                    commit_round(
+                        graph,
+                        topo,
+                        &mut arena,
+                        b * chunk,
+                        &mut cell.pending,
+                        &cell.invalid,
+                        acct,
+                        bandwidth,
+                        config.enforce_bandwidth,
+                    )?;
+                }
+                arena.advance();
+                Ok(newly_halted)
+            })
+        }));
+        // Whether the run completed, failed or unwound, every worker waits
+        // at the start barrier: release them into their exit.
+        done.store(true, Ordering::Release);
+        barrier.wait();
+        outcome
+    });
+    outcome.unwrap_or_else(|panic| resume_unwind(panic))?;
+    Ok(rounds.report(outputs))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::SyncExecutor;
+    use crate::program::{Inbox, NodeContext, Outbox, RoundAction};
 
     /// Every node floods its identifier and outputs the smallest it heard,
     /// with staggered halting so blocks mix live and halted nodes.
@@ -954,6 +594,76 @@ mod tests {
             .unwrap();
         assert_eq!(report.outputs[1], Some(9));
         assert_eq!(report.messages, 2, "both sends are charged");
+    }
+
+    /// Panics at one node and round (`0` = `init`).
+    struct Panicker {
+        node: usize,
+        round: u64,
+    }
+    impl Panicker {
+        fn check(&self, ctx: &NodeContext<'_>) {
+            if ctx.id.0 == self.node && ctx.round == self.round {
+                panic!("node {} panicked in round {}", self.node, self.round);
+            }
+        }
+    }
+    impl NodeProgram for Panicker {
+        type Message = u8;
+        type Output = ();
+        fn init(&mut self, ctx: &NodeContext<'_>, outbox: &mut Outbox<'_, u8>) {
+            self.check(ctx);
+            outbox.broadcast(0);
+        }
+        fn round(
+            &mut self,
+            ctx: &NodeContext<'_>,
+            _: &Inbox<'_, u8>,
+            outbox: &mut Outbox<'_, u8>,
+        ) -> RoundAction<()> {
+            self.check(ctx);
+            if ctx.round >= 4 {
+                RoundAction::Halt(())
+            } else {
+                outbox.broadcast(0);
+                RoundAction::Continue
+            }
+        }
+    }
+
+    #[test]
+    fn node_program_panic_unwinds_to_the_caller() {
+        let g = path_graph(12);
+        for (node, round) in [(0usize, 2u64), (5, 0), (11, 3)] {
+            let mk = move || {
+                (0..12)
+                    .map(|_| Panicker { node, round })
+                    .collect::<Vec<_>>()
+            };
+            let message = |panic: Box<dyn Any + Send>| *panic.downcast::<String>().unwrap();
+            let seq = catch_unwind(AssertUnwindSafe(|| {
+                SyncExecutor.run(&g, mk(), &ExecutorConfig::default())
+            }))
+            .map(|_| ())
+            .map_err(message);
+            let expected = format!("node {node} panicked in round {round}");
+            assert_eq!(seq, Err(expected.clone()));
+            for threads in [2usize, 3] {
+                // A watchdog thread turns a hung pool into a test failure.
+                let (tx, rx) = std::sync::mpsc::channel();
+                let g = g.clone();
+                thread::spawn(move || {
+                    let pooled = catch_unwind(AssertUnwindSafe(|| {
+                        PooledExecutor::new(threads).run(&g, mk(), &ExecutorConfig::default())
+                    }));
+                    tx.send(pooled.map(|_| ()).map_err(message)).unwrap();
+                });
+                let pooled = rx
+                    .recv_timeout(std::time::Duration::from_secs(60))
+                    .unwrap_or_else(|_| panic!("pool hung: node={node} threads={threads}"));
+                assert_eq!(pooled, seq, "node={node} threads={threads}");
+            }
+        }
     }
 
     #[test]

@@ -8,10 +8,10 @@
 //! totals and assemble the complete report.
 //!
 //! Reports are bit-identical to `SyncExecutor` — same outputs, same round
-//! count, same message/bit accounting, same first error — for the same
-//! reasons the engine's pooled executor's are (disjoint slots via the mirror
-//! bijection, associative saturating folds in block order, lowest-block-first
-//! error), plus a lossless codec: [`Wire`] round-trips every workspace
+//! count, same message/bit accounting, same first error — because of the
+//! slot structure (disjoint slots via the mirror bijection, per-slot
+//! last-write-wins in send order), associative saturating folds in shard
+//! order, lowest-shard-first error, and a lossless codec: [`Wire`] round-trips every workspace
 //! message type bit-exactly, including `f64` payloads. The conformance suite
 //! in `tests/transport_conformance.rs` (repo root) proptests this identity
 //! over all graph families and both pipeline routes, with both endpoints in

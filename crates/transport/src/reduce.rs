@@ -1,9 +1,9 @@
 //! The shard-order fold of the socket backend.
 //!
-//! This is the same reduce the engine's pooled executor performs (see
-//! `congest_sim::pool`): per-shard sub-totals folded **in shard order** —
-//! which is node order, because shards are contiguous node blocks — with the
-//! lowest shard's error winning. Replicating it verbatim is what makes the
+//! Each process commits its own shard, so the run totals are per-shard
+//! sub-totals folded **in shard order** — which is node order, because
+//! shards are contiguous node blocks — with the lowest shard's error
+//! winning. Both processes fold identically, and this is what makes the
 //! socket backend's [`RunReport`] bit-identical to `SyncExecutor`:
 //! saturating-`u64` accumulation is associative, `max_message_bits` is a
 //! max, and the first error in shard order is the first error in global

@@ -13,8 +13,8 @@
 //! batch, and one `(sender, payload)` entry per cross-shard *broadcast*,
 //! which the receiver fans out over the sender's mirror targets it owns
 //! ([`RoundPayload`]). Each side then folds `[leader, follower]`
-//! sub-totals through the shared `Reducer` — the same fold
-//! the in-process executors perform in block order — so both processes
+//! sub-totals through the shared `Reducer`, in the node order the
+//! in-process executors commit in, so both processes
 //! assemble the *complete*, identical [`RunReport`] without a separate
 //! coordinator process. The round barrier is the exchange itself: neither
 //! side can advance past round `r` before holding the peer's round-`r`
