@@ -16,9 +16,13 @@
 //!   round counts, message counts and per-round statistics are bit-identical
 //!   to sequential execution for any thread count.
 //!
-//! Both share `execute_block` (run one block's programs), `commit_round`
-//! (drain outboxes in node order into the arena) and `RoundLoop` (round
-//! counter and limit, halt detection, totals and [`RoundStats`]).
+//! Every backend — these two and the two-process socket backend of
+//! `congest_transport` — runs one round loop built from three pieces of this
+//! module: [`execute_block`] runs one block's programs, [`commit_round`]
+//! drains the block's outboxes in node order into a sink, and [`RoundLoop`]
+//! owns the round counter and limit, halt detection, the totals and the
+//! [`RoundStats`]. A backend only chooses where blocks execute and where
+//! committed messages go.
 //!
 //! The per-graph mirror table is built once and cached inside [`Graph`] (see
 //! `crate::topology`), so repeated runs and multi-phase compositions share
@@ -34,11 +38,9 @@ use crate::message::MessageSize;
 use crate::program::{
     Inbox, NodeContext, NodeProgram, OutMsg, Outbox, Pending, RoundAction, INVALID_SLOT,
 };
-use crate::topology::TopologyCache;
 use crate::{Graph, NodeId, RoundLedger};
 use std::error::Error;
 use std::fmt;
-use std::sync::Arc;
 
 /// Configuration of an [`Executor`] run.
 #[derive(Debug, Clone)]
@@ -53,10 +55,6 @@ pub struct ExecutorConfig {
     /// If `true`, a message exceeding the budget aborts the run; if `false`
     /// the violation is only counted in the report.
     pub enforce_bandwidth: bool,
-    /// If `true` (the default), the report carries one [`RoundStats`] entry
-    /// per executed round. Disable for very long runs where only totals
-    /// matter.
-    pub record_round_stats: bool,
 }
 
 impl Default for ExecutorConfig {
@@ -65,7 +63,6 @@ impl Default for ExecutorConfig {
             max_rounds: 1_000_000,
             bandwidth_bits: None,
             enforce_bandwidth: false,
-            record_round_stats: true,
         }
     }
 }
@@ -127,7 +124,7 @@ pub struct RunReport<O> {
     pub bandwidth_violations: u64,
     /// The bandwidth budget the run was charged against.
     pub bandwidth_bits: usize,
-    /// Per-round statistics (empty if `record_round_stats` was off).
+    /// Per-round statistics: one entry per executed round, `init` included.
     pub round_stats: Vec<RoundStats>,
 }
 
@@ -322,6 +319,8 @@ impl Executor for SyncExecutor {
 /// slot keep the *last* message (all writes to one slot come from one sender,
 /// in that sender's send order), and [`ArenaDelivery::advance`] publishes
 /// exactly the queued batch as the next round's [`ArenaDelivery::current`].
+///
+/// [`TopologyCache`]: crate::topology::TopologyCache
 pub struct ArenaDelivery<M> {
     /// Messages delivered this round (read side).
     cur: Vec<Option<M>>,
@@ -414,9 +413,9 @@ impl<M> ArenaDelivery<M> {
 /// LOCAL-model `usize::MAX` budget (or absurdly long runs) cannot overflow.
 /// Saturating `u64` addition is associative (it is ordinary addition clamped
 /// at a ceiling none of the partial sums can exceed without the total also
-/// exceeding it), which is what lets the socket backend fold per-shard
-/// sub-totals and still match the sequential left-to-right accumulation bit
-/// for bit.
+/// exceeding it), which is what lets the socket backend charge each shard
+/// separately, [`Accounting::fold`] the sub-totals in shard order and still
+/// match the sequential left-to-right accumulation bit for bit.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct Accounting {
     /// Messages charged.
@@ -433,9 +432,11 @@ pub struct Accounting {
 }
 
 impl Accounting {
-    /// Folds `other` into `self`. Saturating sums, max of maxima — the
-    /// associative/commutative-per-field merge that makes block-order folds
-    /// of sub-totals equal the sequential accumulation.
+    /// Folds `other` into `self`: saturating sums, max of maxima. Because
+    /// the merge is associative, folding sub-totals in node order equals
+    /// charging every message in node order. [`RoundLoop`] folds each
+    /// round into the run totals with it, and the socket backend folds the
+    /// `[leader, follower]` shard sub-totals into the round's accounting.
     pub fn fold(&mut self, other: &Accounting) {
         self.messages = self.messages.saturating_add(other.messages);
         self.payloads = self.payloads.saturating_add(other.payloads);
@@ -445,11 +446,11 @@ impl Accounting {
     }
 }
 
-/// One committed unit handed to the commit sink by [`drain_outbox`]: either a
-/// single per-edge message already resolved to its destination arena slot, or
-/// a broadcast payload the backend fans out itself through the sender's
-/// mirror range (the storage/wire fast path — the CONGEST charge for all
-/// `deg` copies has already been applied by the time the sink sees it).
+/// One committed unit handed to a [`commit_round`] sink: either a single
+/// per-edge message already resolved to its destination arena slot, or a
+/// broadcast payload the sink fans out itself through the sender's mirror
+/// range (the storage/wire fast path — the CONGEST charge for all `deg`
+/// copies has already been applied by the time the sink sees it).
 #[derive(Debug)]
 pub enum Committed<M> {
     /// One message for one destination arena slot.
@@ -457,6 +458,8 @@ pub enum Committed<M> {
     /// One broadcast payload standing for a copy to every neighbor; the
     /// receiver of this variant resolves the fan-out through the sender's
     /// slice of the [`TopologyCache`] mirror table.
+    ///
+    /// [`TopologyCache`]: crate::topology::TopologyCache
     Fan(M),
 }
 
@@ -464,8 +467,8 @@ pub enum Committed<M> {
 /// arena slot through `mirror`, charges it into `acct`, and hands each
 /// committed unit to `sink` in send order.
 ///
-/// This is the single per-message commit primitive shared by the engine's
-/// `commit_round` (both executors) and the socket backend, so the check order —
+/// This is the single per-message commit primitive behind [`commit_round`],
+/// which every backend commits through, so the check order —
 /// [`INVALID_SLOT`] → [`ExecutionError::NotANeighbor`] first, then
 /// the bandwidth charge and (if enforced) [`ExecutionError::BandwidthExceeded`]
 /// — is identical everywhere and first-error behavior cannot drift between
@@ -488,7 +491,7 @@ pub enum Committed<M> {
 /// that range; `invalid_to` is the outbox's recorded first non-neighbor
 /// target.
 #[allow(clippy::too_many_arguments)]
-pub fn drain_outbox<M: MessageSize>(
+fn drain_outbox<M: MessageSize>(
     mirror: &[usize],
     slot_base: usize,
     degree: usize,
@@ -555,15 +558,20 @@ pub fn drain_outbox<M: MessageSize>(
     Ok(())
 }
 
-/// Runs `init` (round `0`) or `round` for the live nodes of one contiguous
-/// block starting at node `first`, staging their sends into the block's
-/// `pending`/`invalid` tables. `cur` is the whole delivered-message arena,
-/// indexed by global slot. Returns how many of the block's nodes halted.
+/// Executes one round for one contiguous node block: the execute half of
+/// every backend's round.
 ///
-/// The per-node tables are the block's slices, so [`SyncExecutor`] calls this
-/// once over all nodes and each pooled worker calls it on its own block.
+/// Runs `init` (round `0`) or `round` for the live nodes of the block that
+/// starts at node `first`, staging their sends into `pending`/`invalid` for
+/// [`commit_round`]. `cur` is the whole delivered arena
+/// ([`ArenaDelivery::current`]); the other tables are the block's slices of
+/// the node-indexed tables, and a halting node's output lands in `outputs`.
+/// Returns how many of the block's nodes halted in this round.
+///
+/// [`SyncExecutor`] calls this once over all nodes, each pooled worker on its
+/// block, and each socket process on its shard.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn execute_block<P: NodeProgram>(
+pub fn execute_block<P: NodeProgram>(
     graph: &Graph,
     first: usize,
     round: u64,
@@ -599,63 +607,76 @@ pub(crate) fn execute_block<P: NodeProgram>(
     newly_halted
 }
 
-/// Commits the staged outputs of the block starting at node `first`, in node
-/// order, into `delivery`, charging each message into `acct`. Delivery slots
-/// were resolved at send time, so the hot loop is a straight
-/// [`ArenaDelivery::queue`] per message; a broadcast arrives as one
-/// [`Committed::Fan`] payload and is fanned out here through the sender's
-/// mirror range (same slots, same values the materialized per-edge copies
-/// would have produced). A send to a non-neighbor surfaces as
-/// [`INVALID_SLOT`], with the offending target parked in the sender's
-/// `invalid` scratch slot.
+/// Commits the staged outputs of the block that starts at node `first`, in
+/// node order: the commit half of every backend's round.
 ///
-/// Committing blocks in block order on one thread is exactly committing all
-/// nodes in node order, which is why the pool shares this path unchanged.
+/// Each message is charged into `acct` against `bandwidth` and handed to
+/// `sink` with its sender, in send order (see [`Committed`]). The first send
+/// to a non-neighbor, or over an enforced budget, fails the commit with
+/// [`ExecutionError::NotANeighbor`] or [`ExecutionError::BandwidthExceeded`];
+/// nothing after it is charged or handed on, exactly as in sequential
+/// execution.
+///
+/// Committing blocks in block order is committing all nodes in node order,
+/// so every backend shares this path and only the sink differs: the
+/// in-process executors queue into their arena, the socket backend queues
+/// its own slots and stages the rest for its peer.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn commit_round<M: MessageSize + Clone>(
+pub fn commit_round<M: MessageSize>(
     graph: &Graph,
-    topo: &TopologyCache,
-    delivery: &mut ArenaDelivery<M>,
     first: usize,
     pending: &mut [Pending<M>],
     invalid: &[Option<NodeId>],
     acct: &mut Accounting,
     bandwidth: usize,
     enforce: bool,
+    mut sink: impl FnMut(NodeId, Committed<M>),
 ) -> Result<(), ExecutionError> {
+    let mirror = &graph.topology().mirror;
     for (i, staged) in pending.iter_mut().enumerate() {
         let from = NodeId(first + i);
         let range = graph.slot_range(from);
-        let (base, degree) = (range.start, range.len());
         drain_outbox(
-            &topo.mirror,
-            base,
-            degree,
+            mirror,
+            range.start,
+            range.len(),
             from,
             staged,
             invalid[i],
             bandwidth,
             enforce,
             acct,
-            |unit| match unit {
-                Committed::Edge(slot, msg) => delivery.queue(slot, msg),
-                Committed::Fan(msg) => {
-                    delivery.queue_fan(&topo.mirror[base..base + degree], msg);
-                }
-            },
+            |unit| sink(from, unit),
         )?;
     }
     Ok(())
 }
 
-/// Loop control shared by both executors: the program-count check, the
+/// The [`commit_round`] sink of the in-process executors: queues every unit
+/// into `delivery`, fanning a broadcast out through its sender's mirror range
+/// (the same slots and values the materialized per-edge copies would have
+/// produced).
+pub(crate) fn arena_sink<'a, M: Clone>(
+    graph: &'a Graph,
+    delivery: &'a mut ArenaDelivery<M>,
+) -> impl FnMut(NodeId, Committed<M>) + 'a {
+    let mirror = &graph.topology().mirror;
+    move |from, unit| match unit {
+        Committed::Edge(slot, msg) => delivery.queue(slot, msg),
+        Committed::Fan(msg) => delivery.queue_fan(&mirror[graph.slot_range(from)], msg),
+    }
+}
+
+/// Loop control shared by every backend: the program-count check, the
 /// bandwidth budget, the round counter and limit, halt detection, the run
 /// totals and the per-round [`RoundStats`].
-pub(crate) struct RoundLoop<'c> {
+///
+/// A backend builds one per run, drives its rounds through
+/// [`RoundLoop::run`] and assembles the report with [`RoundLoop::report`].
+pub struct RoundLoop<'c> {
     config: &'c ExecutorConfig,
     n: usize,
-    /// The budget every message of the run is charged against.
-    pub(crate) bandwidth: usize,
+    bandwidth: usize,
     rounds: u64,
     acct: Accounting,
     round_stats: Vec<RoundStats>,
@@ -663,7 +684,12 @@ pub(crate) struct RoundLoop<'c> {
 
 impl<'c> RoundLoop<'c> {
     /// Checks that `programs` programs fit `graph` and resolves the budget.
-    pub(crate) fn new(
+    ///
+    /// # Errors
+    ///
+    /// [`ExecutionError::ProgramCountMismatch`] if `programs` is not the
+    /// graph's node count.
+    pub fn new(
         graph: &Graph,
         programs: usize,
         config: &'c ExecutorConfig,
@@ -684,41 +710,59 @@ impl<'c> RoundLoop<'c> {
         })
     }
 
+    /// The budget every message of the run is charged against: the
+    /// configured `bandwidth_bits`, or [`crate::congest_bandwidth_bits`] of
+    /// the graph.
+    pub fn bandwidth(&self) -> usize {
+        self.bandwidth
+    }
+
     /// Calls `step(round, acct)` for round `0` (`init`) and then for every
     /// further round until all nodes have halted. `step` executes the round,
     /// commits it into `acct` (fresh each round) and advances the arena; it
     /// returns how many nodes halted in the round.
-    pub(crate) fn run(
-        &mut self,
-        mut step: impl FnMut(u64, &mut Accounting) -> Result<usize, ExecutionError>,
-    ) -> Result<(), ExecutionError> {
+    ///
+    /// # Errors
+    ///
+    /// The first error `step` returns, or
+    /// [`ExecutionError::RoundLimitExceeded`] once `max_rounds` rounds have
+    /// run and a node is still live.
+    pub fn run<E, F>(&mut self, mut step: F) -> Result<(), E>
+    where
+        E: From<ExecutionError>,
+        F: FnMut(u64, &mut Accounting) -> Result<usize, E>,
+    {
         let mut halted = 0;
         loop {
             let mut round = Accounting::default();
             halted += step(self.rounds, &mut round)?;
             self.acct.fold(&round);
-            if self.config.record_round_stats {
-                self.round_stats.push(RoundStats {
-                    round: self.rounds,
-                    messages: round.messages,
-                    bits: round.bits,
-                    halted,
-                });
-            }
+            self.round_stats.push(RoundStats {
+                round: self.rounds,
+                messages: round.messages,
+                bits: round.bits,
+                halted,
+            });
             if halted == self.n {
                 return Ok(());
             }
             if self.rounds >= self.config.max_rounds {
                 return Err(ExecutionError::RoundLimitExceeded {
                     limit: self.config.max_rounds,
-                });
+                }
+                .into());
             }
             self.rounds += 1;
         }
     }
 
-    /// The report of a completed [`RoundLoop::run`].
-    pub(crate) fn report<O>(self, outputs: Vec<Option<O>>) -> RunReport<O> {
+    /// The report of a completed [`RoundLoop::run`]; `outputs` is indexed by
+    /// node id.
+    ///
+    /// # Panics
+    ///
+    /// If a node has no output, i.e. the run did not complete.
+    pub fn report<O>(self, outputs: Vec<Option<O>>) -> RunReport<O> {
         RunReport {
             outputs: outputs
                 .into_iter()
@@ -745,8 +789,7 @@ pub(crate) fn run_engine<P: NodeProgram>(
     config: &ExecutorConfig,
 ) -> Result<RunReport<P::Output>, ExecutionError> {
     let mut rounds = RoundLoop::new(graph, programs.len(), config)?;
-    let (n, bandwidth) = (graph.n(), rounds.bandwidth);
-    let topo = Arc::clone(graph.topology());
+    let (n, bandwidth) = (graph.n(), rounds.bandwidth());
     let mut delivery = ArenaDelivery::new(graph);
     let mut outputs: Vec<Option<P::Output>> = std::iter::repeat_with(|| None).take(n).collect();
     let mut halted = vec![false; n];
@@ -757,7 +800,7 @@ pub(crate) fn run_engine<P: NodeProgram>(
         std::iter::repeat_with(Pending::new).take(n).collect();
     let mut invalid: Vec<Option<NodeId>> = vec![None; n];
 
-    rounds.run(|round, acct| {
+    rounds.run(|round, acct| -> Result<usize, ExecutionError> {
         let newly_halted = execute_block(
             graph,
             0,
@@ -771,14 +814,13 @@ pub(crate) fn run_engine<P: NodeProgram>(
         );
         commit_round(
             graph,
-            &topo,
-            &mut delivery,
             0,
             &mut pending,
             &invalid,
             acct,
             bandwidth,
             config.enforce_bandwidth,
+            arena_sink(graph, &mut delivery),
         )?;
         delivery.advance();
         Ok(newly_halted)
@@ -973,14 +1015,19 @@ mod tests {
 
     #[test]
     fn round_limit_is_enforced() {
-        let g = path_graph(2);
-        let programs: Vec<_> = (0..2).map(|_| NeverHalts).collect();
-        let config = ExecutorConfig {
-            max_rounds: 10,
-            ..ExecutorConfig::default()
-        };
-        let err = SyncExecutor.run(&g, programs, &config).unwrap_err();
-        assert_eq!(err, ExecutionError::RoundLimitExceeded { limit: 10 });
+        for max_rounds in [0u64, 1, 10] {
+            let g = path_graph(2);
+            let programs: Vec<_> = (0..2).map(|_| NeverHalts).collect();
+            let config = ExecutorConfig {
+                max_rounds,
+                ..ExecutorConfig::default()
+            };
+            let err = SyncExecutor.run(&g, programs, &config).unwrap_err();
+            assert_eq!(
+                err,
+                ExecutionError::RoundLimitExceeded { limit: max_rounds }
+            );
+        }
     }
 
     struct FatMessage;

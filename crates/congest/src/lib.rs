@@ -62,8 +62,8 @@ pub mod topology;
 
 pub use compose::{ComposedProgram, CompositionReport, Phase, PhaseMode, PhaseOutcome, PhaseSpec};
 pub use engine::{
-    drain_outbox, Accounting, ArenaDelivery, Committed, ExecutionError, Executor, ExecutorConfig,
-    RoundStats, RunReport, SyncExecutor,
+    Accounting, ArenaDelivery, Committed, ExecutionError, Executor, ExecutorConfig, RoundStats,
+    RunReport, SyncExecutor,
 };
 pub use error::GraphError;
 pub use graph::{Graph, GraphBuilder, NodeId};

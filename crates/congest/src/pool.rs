@@ -47,7 +47,7 @@
 //! [`SyncExecutor`]: crate::engine::SyncExecutor
 
 use crate::engine::{
-    commit_round, execute_block, run_engine, ArenaDelivery, ExecutionError, Executor,
+    arena_sink, commit_round, execute_block, run_engine, ArenaDelivery, ExecutionError, Executor,
     ExecutorConfig, RoundLoop, RunReport,
 };
 use crate::program::{NodeProgram, Pending};
@@ -198,9 +198,8 @@ where
     P::Output: Send,
 {
     let mut rounds = RoundLoop::new(graph, programs.len(), config)?;
-    let (n, bandwidth) = (graph.n(), rounds.bandwidth);
+    let (n, bandwidth) = (graph.n(), rounds.bandwidth());
     let chunk = n.div_ceil(width);
-    let topo = graph.topology();
     let mut outputs: Vec<Option<P::Output>> = std::iter::repeat_with(|| None).take(n).collect();
     let mut halted = vec![false; n];
     // One cell per block; `width <= n` leaves at least two non-empty blocks.
@@ -251,7 +250,7 @@ where
             });
         }
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            rounds.run(|round, acct| {
+            rounds.run(|round, acct| -> Result<usize, ExecutionError> {
                 barrier.wait(); // start
                 own.execute(graph, round, arena);
                 barrier.wait(); // done
@@ -271,14 +270,13 @@ where
                     let cell = &mut *cell.lock().expect("staged lock");
                     commit_round(
                         graph,
-                        topo,
-                        &mut arena,
                         b * chunk,
                         &mut cell.pending,
                         &cell.invalid,
                         acct,
                         bandwidth,
                         config.enforce_bandwidth,
+                        arena_sink(graph, &mut arena),
                     )?;
                 }
                 arena.advance();
@@ -363,23 +361,6 @@ mod tests {
                 .unwrap();
             assert_eq!(seq, pooled, "threads={threads}");
         }
-    }
-
-    #[test]
-    fn pooled_matches_sequential_without_round_stats() {
-        let g = path_graph(9);
-        let config = ExecutorConfig {
-            record_round_stats: false,
-            ..ExecutorConfig::default()
-        };
-        let seq = SyncExecutor
-            .run(&g, min_id_programs(9, 9), &config)
-            .unwrap();
-        let pooled = PooledExecutor::new(4)
-            .run(&g, min_id_programs(9, 9), &config)
-            .unwrap();
-        assert_eq!(seq, pooled);
-        assert!(pooled.round_stats.is_empty());
     }
 
     /// Sends to a non-neighbor at a configurable node and round.

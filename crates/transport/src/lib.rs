@@ -2,18 +2,21 @@
 //!
 //! [`SocketExecutor`] / [`SocketSession`] split one run across **two OS
 //! processes** over loopback TCP with a replicated control plane: each side
-//! executes its own contiguous node block into an in-process
-//! [`ArenaDelivery`], ships the peer the cross-shard `(destination slot,
-//! message)` batch as serialized bytes, and both sides fold identical run
-//! totals and assemble the complete report.
+//! runs the engine's round loop over its own contiguous node block into an
+//! in-process [`ArenaDelivery`], ships the peer the cross-shard messages as
+//! serialized bytes, and both sides fold identical run totals and assemble
+//! the complete report.
 //!
 //! Reports are bit-identical to `SyncExecutor` — same outputs, same round
-//! count, same message/bit accounting, same first error — because of the
-//! slot structure (disjoint slots via the mirror bijection, per-slot
-//! last-write-wins in send order), associative saturating folds in shard
-//! order, lowest-shard-first error, and a lossless codec: [`Wire`] round-trips every workspace
-//! message type bit-exactly, including `f64` payloads. The conformance suite
-//! in `tests/transport_conformance.rs` (repo root) proptests this identity
+//! count, same message/bit accounting, same first error. Execute, commit,
+//! charging and loop control are the engine's own code on both sides
+//! ([`execute_block`], [`commit_round`], [`RoundLoop`]). What is left to
+//! this crate keeps node order: the mirror bijection gives each shard
+//! disjoint slots, the shard sub-totals fold in shard order with the lowest
+//! shard's error winning, and the codec is lossless — [`Wire`] round-trips
+//! every workspace message type bit-exactly, including `f64` payloads. The
+//! conformance suite in `tests/transport_conformance.rs` (repo root)
+//! proptests this identity
 //! over all graph families and both pipeline routes, with both endpoints in
 //! one test process over a loopback pair; `examples/socket_pipeline.rs`
 //! drives the same path across two real processes.
@@ -23,11 +26,13 @@
 //! offline: no serde, no postcard, no registry dependencies.
 //!
 //! [`ArenaDelivery`]: congest_sim::ArenaDelivery
+//! [`commit_round`]: congest_sim::engine::commit_round
+//! [`execute_block`]: congest_sim::engine::execute_block
+//! [`RoundLoop`]: congest_sim::engine::RoundLoop
 //! [`Wire`]: congest_sim::Wire
 
 pub mod frame;
 pub mod proto;
-mod reduce;
 pub mod socket;
 
 pub use frame::{FrameError, FrameKind};

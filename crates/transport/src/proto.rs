@@ -1,11 +1,14 @@
 //! Protocol payloads of the socket backend.
 //!
-//! Per round, each side moves the sender shard's cross-shard
-//! `(destination slot, message)` batch plus — because each OS process must
-//! assemble the *complete* [`RunReport`] on its own — the shard's accounting
-//! sub-totals, its newly-halted node outputs, and its first error. [`RoundPayload`] is that round unit;
-//! [`Hello`] is the handshake that pins protocol version, topology shape and
-//! executor configuration before any round traffic flows.
+//! [`RoundPayload`] is the round unit. It carries what the sending shard's
+//! `commit_round` sink staged for the peer — the cross-shard
+//! `(destination slot, message)` batch and one `(sender, payload)` entry per
+//! cross-shard broadcast — plus what each OS process needs to assemble the
+//! *complete* [`RunReport`] on its own: the shard's accounting sub-totals
+//! (which the receiver folds in `[leader, follower]` order), its
+//! newly-halted node outputs, and its first error. [`Hello`] is the
+//! handshake that pins protocol version, topology shape and executor
+//! configuration before any round traffic flows.
 //!
 //! Everything here encodes through the engine's [`Wire`] codec, so f64
 //! payloads stay bit-exact across the wire and decode failures surface as
@@ -24,7 +27,10 @@ use congest_sim::ExecutionError;
 /// v2: [`Accounting`] gained a `payloads` field and [`RoundPayload`] a
 /// `bcast` batch (one `(sender, payload)` entry per broadcasting node, fanned
 /// out by the receiver over the sender's mirror targets it owns).
-pub const PROTOCOL_VERSION: u32 = 2;
+///
+/// v3: [`Hello`] lost its `record_round_stats` flag (every run records
+/// per-round statistics).
+pub const PROTOCOL_VERSION: u32 = 3;
 
 /// The handshake payload. Both endpoints send theirs first and verify the
 /// peer's before any round traffic: a mismatch anywhere except `role` means
@@ -48,8 +54,6 @@ pub struct Hello {
     pub bandwidth_bits: usize,
     /// Whether bandwidth is enforced.
     pub enforce_bandwidth: bool,
-    /// Whether per-round statistics are recorded.
-    pub record_round_stats: bool,
 }
 
 impl Hello {
@@ -64,7 +68,6 @@ impl Hello {
         self.max_rounds.encode(&mut out);
         self.bandwidth_bits.encode(&mut out);
         self.enforce_bandwidth.encode(&mut out);
-        self.record_round_stats.encode(&mut out);
         out
     }
 
@@ -83,8 +86,6 @@ impl Hello {
                 .ok_or(FrameError::BadPayload("hello.bandwidth_bits"))?,
             enforce_bandwidth: bool::decode(buf, pos)
                 .ok_or(FrameError::BadPayload("hello.enforce_bandwidth"))?,
-            record_round_stats: bool::decode(buf, pos)
-                .ok_or(FrameError::BadPayload("hello.record_round_stats"))?,
         };
         if *pos != buf.len() {
             return Err(FrameError::BadPayload("hello has trailing bytes"));
@@ -187,7 +188,6 @@ mod tests {
             max_rounds: 1_000_000,
             bandwidth_bits: 160,
             enforce_bandwidth: true,
-            record_round_stats: true,
         };
         let mut bytes = hello.encode();
         assert_eq!(Hello::decode(&bytes).unwrap(), hello);

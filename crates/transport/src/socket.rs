@@ -6,19 +6,23 @@
 //! Both processes load the same graph and build all `n` programs, but each
 //! *executes* only its own contiguous block: the **leader** owns nodes
 //! `[0, split)`, the **follower** owns `[split, n)`, with
-//! `split = ceil(n / 2)`. Per round, each side ships the peer a single
+//! `split = ceil(n / 2)`. Every round is the engine's own round:
+//! [`execute_block`] over the local block, then [`commit_round`] with a sink
+//! that queues messages for the local arena slots and stages the rest for
+//! the peer — a per-edge message as a `(slot, message)` entry, a broadcast
+//! as one `(sender, payload)` entry, which the peer fans out over the
+//! sender's mirror targets it owns. Each side then ships the peer a single
 //! checksummed frame (see [`crate::frame`]) carrying everything the peer
-//! cannot compute locally — its accounting sub-totals, its newly-halted
-//! nodes' outputs, its first error, the cross-shard `(slot, message)`
-//! batch, and one `(sender, payload)` entry per cross-shard *broadcast*,
-//! which the receiver fans out over the sender's mirror targets it owns
-//! ([`RoundPayload`]). Each side then folds `[leader, follower]`
-//! sub-totals through the shared `Reducer`, in the node order the
-//! in-process executors commit in, so both processes
-//! assemble the *complete*, identical [`RunReport`] without a separate
-//! coordinator process. The round barrier is the exchange itself: neither
-//! side can advance past round `r` before holding the peer's round-`r`
-//! frame.
+//! cannot compute locally: those staged entries, its accounting sub-totals,
+//! its newly-halted nodes' outputs and its first error ([`RoundPayload`]).
+//! Both sides [`Accounting::fold`] the `[leader, follower]` sub-totals into
+//! the round's accounting, in the node order the in-process executors
+//! commit in, and the engine's [`RoundLoop`] does the rest: round limit,
+//! halt count, totals, per-round statistics and the report. So both
+//! processes assemble the *complete*, identical [`RunReport`] without a
+//! separate coordinator process. The round barrier is the exchange itself:
+//! neither side can advance past round `r` before holding the peer's
+//! round-`r` frame.
 //!
 //! # Deadlock freedom and failure surface
 //!
@@ -27,11 +31,13 @@
 //! against an unread inbound frame regardless of frame sizes. Every failure
 //! mode on the wire — truncation, corruption (checksum), version or
 //! topology skew (handshake), round desync, a peer that vanished, a stalled
-//! peer (timeout) — surfaces as a typed [`TransportError`] from
+//! peer (timeout), a peer payload that names nodes or slots the peer does
+//! not own — surfaces as a typed [`TransportError`] from
 //! [`SocketSession::run_program`], never a panic. Program misbehavior
-//! (non-neighbor send, enforced bandwidth overrun, round limit) folds
-//! through the reducer exactly as in-process and comes back as
-//! [`TransportError::Execution`] on **both** sides.
+//! (non-neighbor send, enforced bandwidth overrun) ends the run with the
+//! lowest shard's error, and the round limit is the round loop's own check,
+//! so each comes back as [`TransportError::Execution`] on **both** sides,
+//! the same error an in-process executor returns.
 //!
 //! A session persists across runs: a composed pipeline issues one
 //! `Executor::run` per phase, and every phase re-handshakes and reuses the
@@ -42,12 +48,12 @@
 
 use crate::frame::{read_frame, write_frame, FrameError, FrameKind};
 use crate::proto::{Hello, RoundPayload, PROTOCOL_VERSION};
-use crate::reduce::{Reducer, ShardRound, Verdict};
 use crate::TransportError;
 use congest_sim::engine::{
-    ArenaDelivery, Committed, ExecutionError, Executor, ExecutorConfig, RunReport,
+    commit_round, execute_block, Accounting, ArenaDelivery, Committed, ExecutionError, Executor,
+    ExecutorConfig, RoundLoop, RunReport,
 };
-use congest_sim::program::{Inbox, NodeContext, NodeProgram, Outbox, Pending, RoundAction};
+use congest_sim::program::{NodeProgram, Pending};
 use congest_sim::{Graph, NodeId};
 use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError};
@@ -340,194 +346,47 @@ impl Executor for SocketExecutor {
     }
 }
 
-/// The per-run state of this side's shard.
-struct Shard<'g, P: NodeProgram> {
+/// Which nodes and arena slots this side of a run owns.
+struct Shard<'g> {
     graph: &'g Graph,
+    role: Role,
     /// First node of the local block.
     lo: usize,
     /// One past the last node of the local block.
     hi: usize,
-    /// First arena slot of the follower's side (`slot_split`); slots below
-    /// it belong to the leader.
+    /// First arena slot of the follower's side; slots below it belong to
+    /// the leader.
     slot_split: usize,
-    leader: bool,
-    bandwidth: usize,
-    enforce: bool,
-    programs: Vec<P>,
-    halted: Vec<bool>,
-    pending: Vec<Pending<P::Message>>,
-    invalid: Vec<Option<NodeId>>,
-    /// Global node ids of local nodes that halted this round.
-    newly: Vec<usize>,
-    /// Cross-shard batch staged for the peer this round.
-    out_batch: Vec<(usize, P::Message)>,
-    /// Cross-shard broadcasts staged for the peer this round: one
-    /// `(sender, payload)` entry per local node whose broadcast reaches any
-    /// peer-owned slot; the peer fans it out over the slots it owns.
-    out_bcast: Vec<(usize, P::Message)>,
 }
 
-impl<P: NodeProgram> Shard<'_, P> {
+impl Shard<'_> {
     fn owns_slot(&self, slot: usize) -> bool {
-        (slot < self.slot_split) == self.leader
+        (slot < self.slot_split) == (self.role == Role::Leader)
     }
 
-    /// Routes one node's committed outbox: local-destination messages go
-    /// straight into `delivery`, cross-shard ones into the staged batch. A
-    /// broadcast fans its locally-owned mirror targets into `delivery` and
-    /// stages at most one `(sender, payload)` entry for the peer.
-    fn route(
-        &mut self,
-        v: NodeId,
-        i: usize,
-        delivery: &mut ArenaDelivery<P::Message>,
-        report: &mut ShardRound,
-    ) {
-        if report.error.is_some() {
-            self.pending[i].clear();
-            return;
-        }
-        let range = self.graph.slot_range(v);
-        let (base, degree) = (range.start, range.len());
-        let topo = self.graph.topology();
-        let (slot_split, leader) = (self.slot_split, self.leader);
-        let out_batch = &mut self.out_batch;
-        let out_bcast = &mut self.out_bcast;
-        if let Err(e) = congest_sim::engine::drain_outbox(
-            &topo.mirror,
-            base,
-            degree,
-            v,
-            &mut self.pending[i],
-            self.invalid[i],
-            self.bandwidth,
-            self.enforce,
-            &mut report.acct,
-            |unit| match unit {
-                Committed::Edge(slot, msg) => {
-                    if (slot < slot_split) == leader {
-                        delivery.queue(slot, msg);
-                    } else {
-                        out_batch.push((slot, msg));
-                    }
-                }
-                Committed::Fan(msg) => {
-                    let mut cross = false;
-                    for &slot in &topo.mirror[base..base + degree] {
-                        if (slot < slot_split) == leader {
-                            delivery.queue(slot, msg.clone());
-                        } else {
-                            cross = true;
-                        }
-                    }
-                    if cross {
-                        out_bcast.push((v.0, msg));
-                    }
-                }
-            },
-        ) {
-            report.error = Some(e);
-        }
-    }
-
-    /// Runs `init` for every local node and routes the commits.
-    fn init_round(&mut self, delivery: &mut ArenaDelivery<P::Message>) -> ShardRound {
-        let mut report = ShardRound::default();
-        let graph = self.graph;
-        for i in 0..self.programs.len() {
-            let v = NodeId(self.lo + i);
-            let ctx = NodeContext {
-                id: v,
-                graph,
-                round: 0,
-            };
-            let mut outbox = Outbox::over(
-                graph.neighbors(v),
-                &mut self.pending[i],
-                &mut self.invalid[i],
-            );
-            self.programs[i].init(&ctx, &mut outbox);
-            self.route(v, i, delivery, &mut report);
-        }
-        report
-    }
-
-    /// Runs one round for every live local node and routes the commits;
-    /// halting nodes land in `outputs` and `self.newly`.
-    fn execute_round(
-        &mut self,
-        round: u64,
-        delivery: &mut ArenaDelivery<P::Message>,
-        outputs: &mut [Option<P::Output>],
-    ) -> ShardRound {
-        let mut report = ShardRound::default();
-        let graph = self.graph;
-        self.newly.clear();
-        for i in 0..self.programs.len() {
-            if self.halted[i] {
-                continue;
-            }
-            let v = NodeId(self.lo + i);
-            let ctx = NodeContext {
-                id: v,
-                graph,
-                round,
-            };
-            let inbox = Inbox::over(graph.neighbors(v), &delivery.current()[graph.slot_range(v)]);
-            self.pending[i].clear();
-            self.invalid[i] = None;
-            let mut outbox = Outbox::over(
-                graph.neighbors(v),
-                &mut self.pending[i],
-                &mut self.invalid[i],
-            );
-            match self.programs[i].round(&ctx, &inbox, &mut outbox) {
-                RoundAction::Continue => {}
-                RoundAction::Halt(out) => {
-                    outputs[v.0] = Some(out);
-                    self.halted[i] = true;
-                    self.newly.push(v.0);
-                    report.newly_halted += 1;
-                    self.pending[i].clear();
-                }
-            }
-            self.route(v, i, delivery, &mut report);
-        }
-        report
+    fn peer_owns_node(&self, v: usize) -> bool {
+        v < self.graph.n() && !(self.lo..self.hi).contains(&v)
     }
 }
 
-/// Sends this round's payload, receives the peer's, validates it, applies
-/// the peer's halted outputs and cross-shard batch, and returns the peer's
-/// sub-totals.
-#[allow(clippy::too_many_arguments)]
+/// Sends this side's round payload `out`, receives and validates the peer's,
+/// applies the peer's halted outputs and cross-shard messages, and returns
+/// the peer's sub-totals, halt count and first error. `out`'s halted outputs
+/// move into `outputs` and its batches are emptied, keeping their
+/// allocations for the next round.
 fn exchange<P: NodeProgram>(
     session: &mut SocketSession,
-    shard: &mut Shard<'_, P>,
-    round: u64,
-    report: &ShardRound,
+    shard: &Shard<'_>,
+    out: &mut RoundPayload<P::Message, P::Output>,
     delivery: &mut ArenaDelivery<P::Message>,
     outputs: &mut [Option<P::Output>],
-) -> Result<ShardRound, TransportError> {
-    let payload = RoundPayload {
-        round,
-        acct: report.acct.clone(),
-        newly_halted: shard
-            .newly
-            .iter()
-            .map(|&v| (v, outputs[v].clone().expect("halted node has output")))
-            .collect(),
-        error: report.error.clone(),
-        batch: std::mem::take(&mut shard.out_batch),
-        bcast: std::mem::take(&mut shard.out_bcast),
-    };
-    let bytes = payload.encode();
-    // Keep the staged-batch allocations for the next round.
-    shard.out_batch = payload.batch;
-    shard.out_batch.clear();
-    shard.out_bcast = payload.bcast;
-    shard.out_bcast.clear();
-    session.send(FrameKind::Round, &bytes)?;
+) -> Result<(Accounting, usize, Option<ExecutionError>), TransportError> {
+    session.send(FrameKind::Round, &out.encode())?;
+    for (v, output) in out.newly_halted.drain(..) {
+        outputs[v] = Some(output);
+    }
+    out.batch.clear();
+    out.bcast.clear();
 
     let (kind, peer_bytes) = session.recv()?;
     if kind != FrameKind::Round {
@@ -537,22 +396,20 @@ fn exchange<P: NodeProgram>(
     }
     let peer = RoundPayload::<P::Message, P::Output>::decode(&peer_bytes)
         .map_err(TransportError::Frame)?;
-    if peer.round != round {
+    if peer.round != out.round {
         return Err(TransportError::Protocol(format!(
-            "round desync: peer is at round {}, local round is {round}",
-            peer.round
+            "round desync: peer is at round {}, local round is {}",
+            peer.round, out.round
         )));
     }
-    let n = shard.graph.n();
-    let peer_newly = peer.newly_halted.len();
-    for (v, out) in peer.newly_halted {
-        let peer_owned = v < n && !(shard.lo..shard.hi).contains(&v);
-        if !peer_owned || outputs[v].is_some() {
+    let peer_halted = peer.newly_halted.len();
+    for (v, output) in peer.newly_halted {
+        if !shard.peer_owns_node(v) || outputs[v].is_some() {
             return Err(TransportError::Protocol(format!(
                 "peer reported a halt for node {v} it does not own"
             )));
         }
-        outputs[v] = Some(out);
+        outputs[v] = Some(output);
     }
     for (slot, msg) in peer.batch {
         if slot >= shard.graph.slot_count() || !shard.owns_slot(slot) {
@@ -562,55 +419,33 @@ fn exchange<P: NodeProgram>(
         }
         delivery.queue(slot, msg);
     }
+    let mirror = &shard.graph.topology().mirror;
     for (sender, msg) in peer.bcast {
-        let peer_owned = sender < n && !(shard.lo..shard.hi).contains(&sender);
-        if !peer_owned {
+        if !shard.peer_owns_node(sender) {
             return Err(TransportError::Protocol(format!(
                 "peer broadcast from node {sender} it does not own"
             )));
         }
-        let topo = shard.graph.topology();
-        for &slot in &topo.mirror[shard.graph.slot_range(NodeId(sender))] {
+        for &slot in &mirror[shard.graph.slot_range(NodeId(sender))] {
             if shard.owns_slot(slot) {
                 delivery.queue(slot, msg.clone());
             }
         }
     }
-    Ok(ShardRound {
-        acct: peer.acct,
-        newly_halted: peer_newly,
-        error: peer.error,
-    })
+    Ok((peer.acct, peer_halted, peer.error))
 }
 
-/// The symmetric per-process run loop; see the module docs for the protocol.
-fn run_session<P: NodeProgram>(
+/// Sends this side's [`Hello`] and checks the peer's: protocol version,
+/// complementary roles, topology shape and split, and configuration.
+fn handshake(
     session: &mut SocketSession,
     role: Role,
     graph: &Graph,
-    programs: Vec<P>,
+    split: usize,
+    bandwidth: usize,
     config: &ExecutorConfig,
-) -> Result<RunReport<P::Output>, TransportError> {
+) -> Result<(), TransportError> {
     let n = graph.n();
-    if programs.len() != n {
-        return Err(TransportError::Execution(
-            ExecutionError::ProgramCountMismatch {
-                programs: programs.len(),
-                nodes: n,
-            },
-        ));
-    }
-    let bandwidth = config
-        .bandwidth_bits
-        .unwrap_or_else(|| congest_sim::congest_bandwidth_bits(n));
-    let split = n.div_ceil(2);
-    let slot_split = if split >= n {
-        graph.slot_count()
-    } else {
-        graph.slot_range(NodeId(split)).start
-    };
-
-    // Handshake: pin protocol, topology shape, split and configuration.
     let hello = Hello {
         version: PROTOCOL_VERSION,
         role: match role {
@@ -623,7 +458,6 @@ fn run_session<P: NodeProgram>(
         max_rounds: config.max_rounds,
         bandwidth_bits: bandwidth,
         enforce_bandwidth: config.enforce_bandwidth,
-        record_round_stats: config.record_round_stats,
     };
     session.send(FrameKind::Hello, &hello.encode())?;
     let (kind, peer_bytes) = session.recv()?;
@@ -651,104 +485,156 @@ fn run_session<P: NodeProgram>(
             hello.slot_count, peer.n, peer.slot_count, peer.split
         )));
     }
-    if (
-        peer.max_rounds,
-        peer.bandwidth_bits,
-        peer.enforce_bandwidth,
-        peer.record_round_stats,
-    ) != (
-        hello.max_rounds,
-        hello.bandwidth_bits,
-        hello.enforce_bandwidth,
-        hello.record_round_stats,
-    ) {
+    if (peer.max_rounds, peer.bandwidth_bits, peer.enforce_bandwidth)
+        != (
+            hello.max_rounds,
+            hello.bandwidth_bits,
+            hello.enforce_bandwidth,
+        )
+    {
         return Err(TransportError::Protocol(
             "executor configuration skew between the two processes".to_string(),
         ));
     }
+    Ok(())
+}
+
+/// The symmetric per-process run: the engine's [`RoundLoop`] drives
+/// [`execute_block`] and [`commit_round`] over this side's block, with the
+/// exchange as each round's barrier. See the module docs for the protocol.
+fn run_session<P: NodeProgram>(
+    session: &mut SocketSession,
+    role: Role,
+    graph: &Graph,
+    mut programs: Vec<P>,
+    config: &ExecutorConfig,
+) -> Result<RunReport<P::Output>, TransportError> {
+    let mut rounds = RoundLoop::new(graph, programs.len(), config)?;
+    let (n, bandwidth) = (graph.n(), rounds.bandwidth());
+    let split = n.div_ceil(2);
+    handshake(session, role, graph, split, bandwidth, config)?;
 
     let (lo, hi) = match role {
         Role::Leader => (0, split),
         Role::Follower => (split, n),
     };
-    let mut shard = Shard {
+    let shard = Shard {
         graph,
+        role,
         lo,
         hi,
-        slot_split,
-        leader: role == Role::Leader,
-        bandwidth,
-        enforce: config.enforce_bandwidth,
-        programs: {
-            let mut programs = programs;
-            // Keep only the local block; the peer executes the rest.
-            programs.truncate(hi);
-            programs.drain(..lo);
-            programs
+        slot_split: if split >= n {
+            graph.slot_count()
+        } else {
+            graph.slot_range(NodeId(split)).start
         },
-        halted: vec![false; hi - lo],
-        pending: std::iter::repeat_with(Pending::new).take(hi - lo).collect(),
-        invalid: vec![None; hi - lo],
-        newly: Vec::new(),
-        out_batch: Vec::new(),
-        out_bcast: Vec::new(),
     };
+    // Keep only the local block; the peer executes the rest.
+    programs.truncate(hi);
+    programs.drain(..lo);
+    let len = hi - lo;
+    let mut halted = vec![false; len];
+    // Outputs of local nodes that halted this round, until the exchange
+    // moves them into `outputs`.
+    let mut fresh: Vec<Option<P::Output>> = std::iter::repeat_with(|| None).take(len).collect();
+    let mut pending: Vec<Pending<P::Message>> =
+        std::iter::repeat_with(Pending::new).take(len).collect();
+    let mut invalid: Vec<Option<NodeId>> = vec![None; len];
     let mut outputs: Vec<Option<P::Output>> = std::iter::repeat_with(|| None).take(n).collect();
-    let mut delivery: ArenaDelivery<P::Message> = ArenaDelivery::new(graph);
-    let mut reducer = Reducer::new(config, n);
+    let mut delivery = ArenaDelivery::new(graph);
+    let mut out = RoundPayload {
+        round: 0,
+        acct: Accounting::default(),
+        newly_halted: Vec::new(),
+        error: None,
+        batch: Vec::new(),
+        bcast: Vec::new(),
+    };
+    let mirror = &graph.topology().mirror;
 
-    // Round 0: init, exchange, fold.
-    let report = shard.init_round(&mut delivery);
-    let peer_report = exchange(session, &mut shard, 0, &report, &mut delivery, &mut outputs)?;
-    let mut verdict = fold(&mut reducer, role, report, peer_report);
-
-    loop {
-        delivery.advance();
-        if verdict == Verdict::Stop {
-            break;
-        }
-        let round = reducer.rounds;
-        let report = shard.execute_round(round, &mut delivery, &mut outputs);
-        let peer_report = exchange(
-            session,
-            &mut shard,
+    rounds.run(|round, acct| -> Result<usize, TransportError> {
+        let newly_halted = execute_block(
+            graph,
+            lo,
             round,
-            &report,
-            &mut delivery,
-            &mut outputs,
-        )?;
-        verdict = fold(&mut reducer, role, report, peer_report);
-    }
-
-    if let Some(e) = reducer.error.take() {
-        return Err(TransportError::Execution(e));
-    }
-    // Both shards' halts were folded and both output lists applied, so a
-    // successful run has every output present on both sides.
-    reducer
-        .into_report(
-            outputs
-                .into_iter()
-                .map(|o| o.expect("halted node has output"))
-                .collect(),
+            delivery.current(),
+            &mut programs,
+            &mut halted,
+            &mut fresh,
+            &mut pending,
+            &mut invalid,
+        );
+        if newly_halted > 0 {
+            for (i, output) in fresh.iter_mut().enumerate() {
+                if let Some(output) = output.take() {
+                    out.newly_halted.push((lo + i, output));
+                }
+            }
+        }
+        // Own slots go straight into the arena; the rest is staged for the
+        // peer, a broadcast as one `(sender, payload)` entry.
+        out.round = round;
+        out.acct = Accounting::default();
+        out.error = commit_round(
+            graph,
+            lo,
+            &mut pending,
+            &invalid,
+            &mut out.acct,
             bandwidth,
+            config.enforce_bandwidth,
+            |from, unit| match unit {
+                Committed::Edge(slot, msg) => {
+                    if shard.owns_slot(slot) {
+                        delivery.queue(slot, msg);
+                    } else {
+                        out.batch.push((slot, msg));
+                    }
+                }
+                Committed::Fan(msg) => {
+                    let mut cross = false;
+                    for &slot in &mirror[graph.slot_range(from)] {
+                        if shard.owns_slot(slot) {
+                            delivery.queue(slot, msg.clone());
+                        } else {
+                            cross = true;
+                        }
+                    }
+                    if cross {
+                        out.bcast.push((from.0, msg));
+                    }
+                }
+            },
         )
-        .map_err(TransportError::Execution)
-}
-
-/// Folds the two shards' sub-totals in `[leader, follower]` order — the
-/// block order of the in-process executors.
-fn fold(reducer: &mut Reducer<'_>, role: Role, mine: ShardRound, peer: ShardRound) -> Verdict {
-    match role {
-        Role::Leader => reducer.fold_round([mine, peer]),
-        Role::Follower => reducer.fold_round([peer, mine]),
-    }
+        .err();
+        let (peer_acct, peer_halted, peer_error) =
+            exchange::<P>(session, &shard, &mut out, &mut delivery, &mut outputs)?;
+        delivery.advance();
+        let (mine, peer) = ((&out.acct, out.error.take()), (&peer_acct, peer_error));
+        // `[leader, follower]` is node order.
+        let shares = match role {
+            Role::Leader => [mine, peer],
+            Role::Follower => [peer, mine],
+        };
+        let mut error = None;
+        for (sub, e) in shares {
+            acct.fold(sub);
+            // The lowest shard's error is the first in node order.
+            error = error.or(e);
+        }
+        match error {
+            Some(e) => Err(e.into()),
+            None => Ok(newly_halted + peer_halted),
+        }
+    })?;
+    Ok(rounds.report(outputs))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use congest_sim::engine::SyncExecutor;
+    use congest_sim::program::{Inbox, NodeContext, Outbox, RoundAction};
     use std::io::Write;
 
     /// Min-id flood with staggered halting so both shards mix live and
@@ -1023,15 +909,20 @@ mod tests {
 
     #[test]
     fn round_limit_matches_sequential() {
-        let g = path_graph(6);
-        let config = ExecutorConfig {
-            max_rounds: 10,
-            ..ExecutorConfig::default()
-        };
-        let mk = || (0..6).map(|_| NeverHalts).collect::<Vec<_>>();
-        let seq = SyncExecutor.run(&g, mk(), &config).unwrap_err();
-        assert_eq!(seq, ExecutionError::RoundLimitExceeded { limit: 10 });
-        assert_both_fail_with(run_both_results(&g, mk, &config), &seq);
+        for max_rounds in [0u64, 1, 10] {
+            let g = path_graph(6);
+            let config = ExecutorConfig {
+                max_rounds,
+                ..ExecutorConfig::default()
+            };
+            let mk = || (0..6).map(|_| NeverHalts).collect::<Vec<_>>();
+            let seq = SyncExecutor.run(&g, mk(), &config).unwrap_err();
+            assert_eq!(
+                seq,
+                ExecutionError::RoundLimitExceeded { limit: max_rounds }
+            );
+            assert_both_fail_with(run_both_results(&g, mk, &config), &seq);
+        }
     }
 
     /// Only odd nodes exceed the budget, so violation counts (not just the
@@ -1175,5 +1066,84 @@ mod tests {
                 "got {follower:?}"
             );
         });
+    }
+
+    /// A raw-TCP peer sends a valid [`Hello`], then one well-formed round-0
+    /// payload that breaks one rule of the exchange; the session must end in
+    /// a typed protocol error, not a panic or a hang.
+    #[test]
+    fn peer_payload_breaking_an_exchange_rule_is_a_protocol_error() {
+        // On a 4-path the leader owns nodes 0 and 1 and arena slots 0..3.
+        let g = path_graph(4);
+        let config = ExecutorConfig::default();
+        let empty = || RoundPayload::<NodeId, usize> {
+            round: 0,
+            acct: Default::default(),
+            newly_halted: Vec::new(),
+            error: None,
+            batch: Vec::new(),
+            bcast: Vec::new(),
+        };
+        let cases = [
+            (
+                "wrong round",
+                RoundPayload {
+                    round: 1,
+                    ..empty()
+                },
+            ),
+            (
+                "halt of a leader node",
+                RoundPayload {
+                    newly_halted: vec![(0, 0)],
+                    ..empty()
+                },
+            ),
+            (
+                "slot outside the leader's shard",
+                RoundPayload {
+                    batch: vec![(3, NodeId(2))],
+                    ..empty()
+                },
+            ),
+            (
+                "broadcast from a leader node",
+                RoundPayload {
+                    bcast: vec![(1, NodeId(1))],
+                    ..empty()
+                },
+            ),
+        ];
+        for (case, payload) in cases {
+            let hello = Hello {
+                version: PROTOCOL_VERSION,
+                role: 1,
+                n: 4,
+                slot_count: g.slot_count(),
+                split: 2,
+                max_rounds: config.max_rounds,
+                bandwidth_bits: congest_sim::congest_bandwidth_bits(4),
+                enforce_bandwidth: config.enforce_bandwidth,
+            };
+            let listener = SocketListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap();
+            thread::scope(|s| {
+                s.spawn(move || {
+                    let mut raw = TcpStream::connect(addr).unwrap();
+                    write_frame(&mut raw, FrameKind::Hello, &hello.encode()).unwrap();
+                    write_frame(&mut raw, FrameKind::Round, &payload.encode()).unwrap();
+                    // Hold the connection open until the session hangs up.
+                    let _ = std::io::Read::read_to_end(&mut raw, &mut Vec::new());
+                });
+                let mut session = listener.accept().unwrap();
+                session.set_timeout(Duration::from_secs(30));
+                let result = session.run_program(Role::Leader, &g, min_id_programs(4, 4), &config);
+                drop(session);
+                assert!(
+                    matches!(result, Err(TransportError::Protocol(_))),
+                    "{case}: got {result:?}"
+                );
+            });
+        }
     }
 }
