@@ -571,11 +571,15 @@ pub const SYNC_BENCH_MAX_N: usize = 100_000;
 
 /// Largest `n` the Theorem 1.1 (network-decomposition) route runs at in the
 /// benchmark sweep. Its derandomization serializes coin fixing through
-/// clusters — `O(m · steps)` work with `steps = Θ(n)` — so the route is
-/// quadratic-ish in instance size and dominates the sweep long before the
-/// Theorem 1.2 route (whose schedule length is a color count, not `n`)
-/// breaks a sweat. Sizes above the cap benchmark the coloring route only.
-pub const THEOREM_1_1_MAX_N: usize = 2000;
+/// clusters, so the schedule has `steps = Θ(n)` rounds in which only the
+/// deciding node and its neighbors act; everyone else sleeps
+/// (`RoundAction::SleepUntil`) and the engine pays only for the nodes that
+/// act and the messages delivered. The route's cost therefore grows with
+/// the work the schedule does, not with `n · steps`, which makes
+/// `gnm(10⁴, 4·10⁴)` a seconds-long row. Sizes above the cap benchmark the
+/// coloring route only: at `n = 10⁵` the `Θ(n)` sequential rounds alone
+/// would dominate the sweep.
+pub const THEOREM_1_1_MAX_N: usize = 10_000;
 
 /// The instance a sweep size maps to: the historical `G(n, 8/n)` instances
 /// for the seed sizes (so trend lines stay comparable across PRs) and sparse

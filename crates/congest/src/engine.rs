@@ -17,12 +17,24 @@
 //!   to sequential execution for any thread count.
 //!
 //! Every backend — these two and the two-process socket backend of
-//! `congest_transport` — runs one round loop built from three pieces of this
-//! module: [`execute_block`] runs one block's programs, [`commit_round`]
-//! drains the block's outboxes in node order into a sink, and [`RoundLoop`]
-//! owns the round counter and limit, halt detection, the totals and the
-//! [`RoundStats`]. A backend only chooses where blocks execute and where
-//! committed messages go.
+//! `congest_transport` — runs one round loop built from four pieces of this
+//! module: a [`WakeState`] per block says which of its nodes run,
+//! [`execute_block`] runs them, [`commit_round`] drains their outboxes in
+//! node order into a sink, and [`RoundLoop`] owns the round counter and
+//! limit, halt detection, the totals and the [`RoundStats`]. A backend only
+//! chooses where blocks execute and where committed messages go.
+//!
+//! # Cost proportional to real work
+//!
+//! A node that returns [`RoundAction::SleepUntil`] leaves its block's
+//! node-ordered active list until its timer is due or a message is
+//! delivered to it. Execute and commit walk only the active list, and the
+//! wake-up scan walks only the slots delivered this round, so a round costs
+//! `O(active + delivered)` rather than `O(n)`. A block without sleepers
+//! skips the wake-up scan entirely, so all-active programs pay nothing
+//! extra. Which nodes run is a function of the programs' own actions and the
+//! delivered messages only, so it is the same on every backend and
+//! [`RoundStats::active`] is part of the bit-identical report.
 //!
 //! The per-graph mirror table is built once and cached inside [`Graph`] (see
 //! `crate::topology`), so repeated runs and multi-phase compositions share
@@ -39,6 +51,8 @@ use crate::program::{
     Inbox, NodeContext, NodeProgram, OutMsg, Outbox, Pending, RoundAction, INVALID_SLOT,
 };
 use crate::{Graph, NodeId, RoundLedger};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::error::Error;
 use std::fmt;
 
@@ -98,6 +112,9 @@ pub struct RoundStats {
     pub bits: u64,
     /// Number of nodes that have halted by the end of the round.
     pub halted: usize,
+    /// Number of nodes whose `init` (round `0`) or `round` ran in the round:
+    /// the live nodes minus those a [`RoundAction::SleepUntil`] skipped.
+    pub active: usize,
 }
 
 /// Statistics and outputs of a completed run.
@@ -407,6 +424,192 @@ impl<M> ArenaDelivery<M> {
     pub fn current(&self) -> &[Option<M>] {
         &self.cur
     }
+
+    /// The occupied slots of [`ArenaDelivery::current`], each once, in
+    /// queue order: what a [`WakeState`] scans for sleeping receivers.
+    pub fn delivered(&self) -> &[usize] {
+        &self.cur_written
+    }
+}
+
+/// [`WakeState`] entry of a node that runs in the next round.
+const AWAKE: u64 = 0;
+/// [`WakeState`] entry of a halted node. Sleep targets never collide with
+/// either marker: a sleep that ends before round `ctx.round + 2 >= 3` is a
+/// `Continue`.
+const HALTED: u64 = 1;
+
+/// Which nodes of one contiguous block run in each round.
+///
+/// Holds the block's node-ordered active list, one wake entry per node —
+/// awake, halted, or the round a sleeper's timer is due (`u64::MAX`: only a
+/// message wakes it) — and a min-heap of pending timers. Before each round
+/// the active list becomes the nodes that returned
+/// [`RoundAction::Continue`], the sleepers whose timer is due and the
+/// sleepers that receive a message this round, in node order.
+///
+/// [`SyncExecutor`] keeps one over all nodes, each pooled worker one per
+/// block, and each socket process one per shard.
+#[derive(Debug, Clone)]
+pub struct WakeState {
+    /// First node of the block.
+    first: usize,
+    /// Arena slots received by the block's nodes: the block's CSR ranges
+    /// are contiguous, so this is one range.
+    slots: std::ops::Range<usize>,
+    /// Per node: [`AWAKE`], [`HALTED`] or the round a sleeper wakes at.
+    wake: Vec<u64>,
+    /// Block-local indices of the nodes that run in the current round, in
+    /// node order.
+    active: Vec<u32>,
+    /// Nodes that stay awake for the next round, in node order.
+    next: Vec<u32>,
+    /// Sleepers woken for the round being prepared (scratch).
+    woken: Vec<u32>,
+    /// `(round, node)` timers. An entry whose node has since woken, slept
+    /// again or halted no longer matches its wake entry and is dropped when
+    /// due, or when the heap outgrows twice the block and is rebuilt.
+    timers: BinaryHeap<Reverse<(u64, u32)>>,
+    /// Nodes currently asleep.
+    sleepers: usize,
+}
+
+impl WakeState {
+    /// The wake state of block `nodes` of `graph`, every node awake for
+    /// `init`.
+    pub fn new(graph: &Graph, nodes: std::ops::Range<usize>) -> Self {
+        assert!(nodes.end < u32::MAX as usize, "block indices fit in u32");
+        let slot_start = |v: usize| {
+            if v < graph.n() {
+                graph.slot_range(NodeId(v)).start
+            } else {
+                graph.slot_count()
+            }
+        };
+        let len = nodes.len();
+        WakeState {
+            first: nodes.start,
+            slots: slot_start(nodes.start)..slot_start(nodes.end),
+            wake: vec![AWAKE; len],
+            active: (0..len as u32).collect(),
+            next: Vec::with_capacity(len),
+            // Sized once for the most they hold (a round pushes at most
+            // `len` timers onto at most `2·len` before the trim), so they
+            // never reallocate. Untouched capacity costs no resident memory
+            // in a run where nobody sleeps, while the growth chain of
+            // reallocations raised the peak RSS of runs that do.
+            woken: Vec::with_capacity(len),
+            timers: BinaryHeap::with_capacity(3 * len),
+            sleepers: 0,
+        }
+    }
+
+    /// The nodes that run in the current round, in node order.
+    pub fn active(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.active
+            .iter()
+            .map(move |&i| NodeId(self.first + i as usize))
+    }
+
+    /// Makes the active list of `round`: last round's stayers, merged with
+    /// the sleepers whose timer is due and those that receive one of the
+    /// `delivered` slots.
+    fn prepare(&mut self, graph: &Graph, round: u64, delivered: &[usize]) {
+        std::mem::swap(&mut self.active, &mut self.next);
+        self.next.clear();
+        if self.sleepers == 0 {
+            return;
+        }
+        self.woken.clear();
+        while let Some(&Reverse((at, i))) = self.timers.peek() {
+            if at > round {
+                break;
+            }
+            self.timers.pop();
+            if self.wake[i as usize] == at {
+                self.rouse(i);
+            }
+        }
+        if self.sleepers > 0 {
+            // The receiver of slot `s` is the neighbor stored at its mirror.
+            let mirror = &graph.topology().mirror;
+            for &s in delivered {
+                if self.slots.contains(&s) {
+                    let i = (graph.slot_neighbor(mirror[s]).0 - self.first) as u32;
+                    if self.wake[i as usize] > HALTED {
+                        self.rouse(i);
+                    }
+                }
+            }
+        }
+        if self.woken.is_empty() {
+            return;
+        }
+        // Merge the two sorted, disjoint lists into node order.
+        self.woken.sort_unstable();
+        let (mut a, mut b) = (0, 0);
+        while a < self.active.len() && b < self.woken.len() {
+            if self.active[a] < self.woken[b] {
+                self.next.push(self.active[a]);
+                a += 1;
+            } else {
+                self.next.push(self.woken[b]);
+                b += 1;
+            }
+        }
+        self.next.extend_from_slice(&self.active[a..]);
+        self.next.extend_from_slice(&self.woken[b..]);
+        std::mem::swap(&mut self.active, &mut self.next);
+        self.next.clear();
+    }
+
+    /// Rebuilds the timer heap from the wake entries once stale entries
+    /// make up more than half of it: a node woken by a message that sleeps
+    /// on the same timer again pushes a second entry, and without the
+    /// rebuild the heap would grow with every such wake. Rebuilding costs
+    /// `O(block)` after at least `block` pushes, so `O(1)` per push.
+    fn trim_timers(&mut self) {
+        if self.timers.len() <= 2 * self.wake.len() {
+            return;
+        }
+        let mut timers = std::mem::take(&mut self.timers).into_vec();
+        timers.clear();
+        timers.extend(
+            (0u32..)
+                .zip(&self.wake)
+                .filter(|&(_, &at)| at > HALTED && at != u64::MAX)
+                .map(|(i, &at)| Reverse((at, i))),
+        );
+        self.timers = BinaryHeap::from(timers);
+    }
+
+    /// Wakes sleeper `i` for the round being prepared.
+    fn rouse(&mut self, i: u32) {
+        self.wake[i as usize] = AWAKE;
+        self.woken.push(i);
+        self.sleepers -= 1;
+    }
+}
+
+/// What one round did: how many nodes ran and how many of them halted.
+/// [`execute_block`] returns one per block; a backend sums its blocks' and
+/// hands the total to [`RoundLoop::run`].
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct Executed {
+    /// Nodes whose `init` or `round` ran.
+    pub active: usize,
+    /// Nodes that halted.
+    pub halted: usize,
+}
+
+impl std::ops::Add for Executed {
+    type Output = Executed;
+    fn add(self, other: Executed) -> Executed {
+        Executed {
+            active: self.active + other.active,
+            halted: self.halted + other.halted,
+        }
+    }
 }
 
 /// Running totals for the charging path. All accumulation is saturating so a
@@ -561,61 +764,86 @@ fn drain_outbox<M: MessageSize>(
 /// Executes one round for one contiguous node block: the execute half of
 /// every backend's round.
 ///
-/// Runs `init` (round `0`) or `round` for the live nodes of the block that
-/// starts at node `first`, staging their sends into `pending`/`invalid` for
-/// [`commit_round`]. `cur` is the whole delivered arena
-/// ([`ArenaDelivery::current`]); the other tables are the block's slices of
-/// the node-indexed tables, and a halting node's output lands in `outputs`.
-/// Returns how many of the block's nodes halted in this round.
+/// Builds the round's active list in `wake` from `arena`'s delivered slots
+/// (see [`WakeState`]), then runs `init` (round `0`) or `round` for exactly
+/// those nodes, staging their sends into `pending`/`invalid` for
+/// [`commit_round`] and recording each node's [`RoundAction`] in `wake`.
+/// The other tables are the block's slices of the node-indexed tables, and
+/// a halting node's output lands in `outputs`.
 ///
 /// [`SyncExecutor`] calls this once over all nodes, each pooled worker on its
 /// block, and each socket process on its shard.
 #[allow(clippy::too_many_arguments)]
 pub fn execute_block<P: NodeProgram>(
     graph: &Graph,
-    first: usize,
     round: u64,
-    cur: &[Option<P::Message>],
+    arena: &ArenaDelivery<P::Message>,
     programs: &mut [P],
-    halted: &mut [bool],
+    wake: &mut WakeState,
     outputs: &mut [Option<P::Output>],
     pending: &mut [Pending<P::Message>],
     invalid: &mut [Option<NodeId>],
-) -> usize {
-    let mut newly_halted = 0;
-    for (i, program) in programs.iter_mut().enumerate() {
-        if halted[i] {
-            continue;
-        }
-        let id = NodeId(first + i);
+) -> Executed {
+    if round > 0 {
+        wake.prepare(graph, round, arena.delivered());
+    }
+    let cur = arena.current();
+    let WakeState {
+        first,
+        wake: state,
+        active,
+        next,
+        timers,
+        sleepers,
+        ..
+    } = wake;
+    let mut halted = 0;
+    for &i in active.iter() {
+        let k = i as usize;
+        let id = NodeId(*first + k);
         let ctx = NodeContext { id, graph, round };
-        pending[i].clear();
-        invalid[i] = None;
-        let mut outbox = Outbox::over(graph.neighbors(id), &mut pending[i], &mut invalid[i]);
+        pending[k].clear();
+        invalid[k] = None;
+        let mut outbox = Outbox::over(graph.neighbors(id), &mut pending[k], &mut invalid[k]);
         if round == 0 {
-            program.init(&ctx, &mut outbox);
+            programs[k].init(&ctx, &mut outbox);
+            next.push(i);
             continue;
         }
         let inbox = Inbox::over(graph.neighbors(id), &cur[graph.slot_range(id)]);
-        if let RoundAction::Halt(out) = program.round(&ctx, &inbox, &mut outbox) {
-            outputs[i] = Some(out);
-            halted[i] = true;
-            newly_halted += 1;
-            pending[i].clear();
+        match programs[k].round(&ctx, &inbox, &mut outbox) {
+            RoundAction::Continue => next.push(i),
+            RoundAction::SleepUntil(at) if at <= round + 1 => next.push(i),
+            RoundAction::SleepUntil(at) => {
+                state[k] = at;
+                if at != u64::MAX {
+                    timers.push(Reverse((at, i)));
+                }
+                *sleepers += 1;
+            }
+            RoundAction::Halt(out) => {
+                outputs[k] = Some(out);
+                state[k] = HALTED;
+                halted += 1;
+                pending[k].clear();
+            }
         }
     }
-    newly_halted
+    let active = active.len();
+    wake.trim_timers();
+    Executed { active, halted }
 }
 
-/// Commits the staged outputs of the block that starts at node `first`, in
-/// node order: the commit half of every backend's round.
+/// Commits the staged outputs of the nodes that ran in `wake`'s block this
+/// round, in node order: the commit half of every backend's round.
 ///
 /// Each message is charged into `acct` against `bandwidth` and handed to
 /// `sink` with its sender, in send order (see [`Committed`]). The first send
 /// to a non-neighbor, or over an enforced budget, fails the commit with
 /// [`ExecutionError::NotANeighbor`] or [`ExecutionError::BandwidthExceeded`];
 /// nothing after it is charged or handed on, exactly as in sequential
-/// execution.
+/// execution. Nodes that did not run staged nothing, so walking only the
+/// active list commits exactly what a walk over the whole block would.
 ///
 /// Committing blocks in block order is committing all nodes in node order,
 /// so every backend shares this path and only the sink differs: the
@@ -624,7 +852,7 @@ pub fn execute_block<P: NodeProgram>(
 #[allow(clippy::too_many_arguments)]
 pub fn commit_round<M: MessageSize>(
     graph: &Graph,
-    first: usize,
+    wake: &WakeState,
     pending: &mut [Pending<M>],
     invalid: &[Option<NodeId>],
     acct: &mut Accounting,
@@ -633,16 +861,16 @@ pub fn commit_round<M: MessageSize>(
     mut sink: impl FnMut(NodeId, Committed<M>),
 ) -> Result<(), ExecutionError> {
     let mirror = &graph.topology().mirror;
-    for (i, staged) in pending.iter_mut().enumerate() {
-        let from = NodeId(first + i);
+    for &i in &wake.active {
+        let (k, from) = (i as usize, NodeId(wake.first + i as usize));
         let range = graph.slot_range(from);
         drain_outbox(
             mirror,
             range.start,
             range.len(),
             from,
-            staged,
-            invalid[i],
+            &mut pending[k],
+            invalid[k],
             bandwidth,
             enforce,
             acct,
@@ -720,28 +948,30 @@ impl<'c> RoundLoop<'c> {
     /// Calls `step(round, acct)` for round `0` (`init`) and then for every
     /// further round until all nodes have halted. `step` executes the round,
     /// commits it into `acct` (fresh each round) and advances the arena; it
-    /// returns how many nodes halted in the round.
+    /// returns how many nodes ran and halted in the round.
     ///
     /// # Errors
     ///
     /// The first error `step` returns, or
     /// [`ExecutionError::RoundLimitExceeded`] once `max_rounds` rounds have
-    /// run and a node is still live.
+    /// run and a node is still live — sleeping or not.
     pub fn run<E, F>(&mut self, mut step: F) -> Result<(), E>
     where
         E: From<ExecutionError>,
-        F: FnMut(u64, &mut Accounting) -> Result<usize, E>,
+        F: FnMut(u64, &mut Accounting) -> Result<Executed, E>,
     {
         let mut halted = 0;
         loop {
             let mut round = Accounting::default();
-            halted += step(self.rounds, &mut round)?;
+            let executed = step(self.rounds, &mut round)?;
+            halted += executed.halted;
             self.acct.fold(&round);
             self.round_stats.push(RoundStats {
                 round: self.rounds,
                 messages: round.messages,
                 bits: round.bits,
                 halted,
+                active: executed.active,
             });
             if halted == self.n {
                 return Ok(());
@@ -792,7 +1022,7 @@ pub(crate) fn run_engine<P: NodeProgram>(
     let (n, bandwidth) = (graph.n(), rounds.bandwidth());
     let mut delivery = ArenaDelivery::new(graph);
     let mut outputs: Vec<Option<P::Output>> = std::iter::repeat_with(|| None).take(n).collect();
-    let mut halted = vec![false; n];
+    let mut wake = WakeState::new(graph, 0..n);
     // Outboxes start empty: a lone broadcast stores one payload (no per-edge
     // materialization), and mixed send patterns grow their vec once and keep
     // the capacity across rounds.
@@ -800,21 +1030,20 @@ pub(crate) fn run_engine<P: NodeProgram>(
         std::iter::repeat_with(Pending::new).take(n).collect();
     let mut invalid: Vec<Option<NodeId>> = vec![None; n];
 
-    rounds.run(|round, acct| -> Result<usize, ExecutionError> {
-        let newly_halted = execute_block(
+    rounds.run(|round, acct| -> Result<Executed, ExecutionError> {
+        let executed = execute_block(
             graph,
-            0,
             round,
-            delivery.current(),
+            &delivery,
             &mut programs,
-            &mut halted,
+            &mut wake,
             &mut outputs,
             &mut pending,
             &mut invalid,
         );
         commit_round(
             graph,
-            0,
+            &wake,
             &mut pending,
             &invalid,
             acct,
@@ -823,7 +1052,7 @@ pub(crate) fn run_engine<P: NodeProgram>(
             arena_sink(graph, &mut delivery),
         )?;
         delivery.advance();
-        Ok(newly_halted)
+        Ok(executed)
     })?;
     Ok(rounds.report(outputs))
 }

@@ -177,6 +177,12 @@ impl Graph {
         self.neighbors.len()
     }
 
+    /// The neighbor stored at CSR slot `slot`: the sender of the messages
+    /// delivered into that arena slot.
+    pub(crate) fn slot_neighbor(&self, slot: usize) -> NodeId {
+        self.neighbors[slot]
+    }
+
     /// Iterator over all nodes.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> {
         (0..self.n()).map(NodeId)

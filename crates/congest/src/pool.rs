@@ -15,13 +15,13 @@
 //! calling thread. One round proceeds as:
 //!
 //! 1. **barrier (start)** — every worker enters the round.
-//! 2. **execute** — each worker runs `init` (round `0`) or `round` for the
-//!    live nodes of its block through the engine's `execute_block`, reading
-//!    inboxes from the shared arena and staging sends into its block's own
-//!    outbox tables.
+//! 2. **execute** — each worker builds its block's active list in the
+//!    block's own `WakeState` and runs `init` (round `0`) or `round` for
+//!    those nodes through the engine's `execute_block`, reading inboxes from
+//!    the shared arena and staging sends into its block's own outbox tables.
 //! 3. **barrier (done)** — every block has executed.
-//! 4. **commit** — the calling thread drains the blocks' outboxes in block
-//!    order through the engine's `commit_round`, advances the arena and runs
+//! 4. **commit** — the calling thread drains the blocks' active outboxes in
+//!    block order through the engine's `commit_round`, advances the arena and runs
 //!    the shared loop control (halt count, round limit, per-round
 //!    [`RoundStats`](crate::engine::RoundStats)).
 //!
@@ -47,8 +47,8 @@
 //! [`SyncExecutor`]: crate::engine::SyncExecutor
 
 use crate::engine::{
-    arena_sink, commit_round, execute_block, run_engine, ArenaDelivery, ExecutionError, Executor,
-    ExecutorConfig, RoundLoop, RunReport,
+    arena_sink, commit_round, execute_block, run_engine, ArenaDelivery, Executed, ExecutionError,
+    Executor, ExecutorConfig, RoundLoop, RunReport, WakeState,
 };
 use crate::program::{NodeProgram, Pending};
 use crate::{Graph, NodeId};
@@ -137,22 +137,22 @@ impl Executor for PooledExecutor {
     }
 }
 
-/// What one block's execute hands to the commit: its nodes' staged outboxes,
-/// how many of them halted, and the panic of a node program, if one panicked.
+/// What one block's execute hands to the commit: the block's wake state
+/// (whose active list the commit walks), its nodes' staged outboxes, how
+/// many of them ran and halted, and the panic of a node program, if one
+/// panicked.
 struct Staged<M> {
+    wake: WakeState,
     pending: Vec<Pending<M>>,
     invalid: Vec<Option<NodeId>>,
-    newly_halted: usize,
+    executed: Executed,
     panic: Option<Box<dyn Any + Send>>,
 }
 
 /// One worker's contiguous node block: its slices of the node-indexed tables
 /// and its [`Staged`] cell.
 struct Block<'a, P: NodeProgram> {
-    /// First node of the block.
-    first: usize,
     programs: &'a mut [P],
-    halted: &'a mut [bool],
     outputs: &'a mut [Option<P::Output>],
     staged: &'a Mutex<Staged<P::Message>>,
 }
@@ -167,18 +167,17 @@ impl<P: NodeProgram> Block<'_, P> {
         let executed = catch_unwind(AssertUnwindSafe(|| {
             execute_block(
                 graph,
-                self.first,
                 round,
-                arena.current(),
+                &arena,
                 self.programs,
-                self.halted,
+                &mut staged.wake,
                 self.outputs,
                 &mut staged.pending,
                 &mut staged.invalid,
             )
         }));
         match executed {
-            Ok(newly_halted) => staged.newly_halted = newly_halted,
+            Ok(executed) => staged.executed = executed,
             Err(panic) => staged.panic = Some(panic),
         }
     }
@@ -201,16 +200,16 @@ where
     let (n, bandwidth) = (graph.n(), rounds.bandwidth());
     let chunk = n.div_ceil(width);
     let mut outputs: Vec<Option<P::Output>> = std::iter::repeat_with(|| None).take(n).collect();
-    let mut halted = vec![false; n];
     // One cell per block; `width <= n` leaves at least two non-empty blocks.
     let staged: Vec<Mutex<Staged<P::Message>>> = (0..n)
         .step_by(chunk)
         .map(|first| {
             let len = chunk.min(n - first);
             Mutex::new(Staged {
+                wake: WakeState::new(graph, first..first + len),
                 pending: std::iter::repeat_with(Pending::new).take(len).collect(),
                 invalid: vec![None; len],
-                newly_halted: 0,
+                executed: Executed::default(),
                 panic: None,
             })
         })
@@ -224,14 +223,10 @@ where
     let outcome = thread::scope(|s| {
         let mut blocks = programs
             .chunks_mut(chunk)
-            .zip(halted.chunks_mut(chunk))
             .zip(outputs.chunks_mut(chunk))
             .zip(&staged)
-            .enumerate()
-            .map(|(b, (((programs, halted), outputs), staged))| Block {
-                first: b * chunk,
+            .map(|((programs, outputs), staged)| Block {
                 programs,
-                halted,
                 outputs,
                 staged,
             });
@@ -250,27 +245,27 @@ where
             });
         }
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            rounds.run(|round, acct| -> Result<usize, ExecutionError> {
+            rounds.run(|round, acct| -> Result<Executed, ExecutionError> {
                 barrier.wait(); // start
                 own.execute(graph, round, arena);
                 barrier.wait(); // done
 
                 // A panic beats any commit error: sequential execution would
                 // have unwound before committing.
-                let mut newly_halted = 0;
+                let mut executed = Executed::default();
                 for cell in &staged {
                     let mut cell = cell.lock().expect("staged lock");
                     if let Some(panic) = cell.panic.take() {
                         resume_unwind(panic);
                     }
-                    newly_halted += cell.newly_halted;
+                    executed = executed + cell.executed;
                 }
                 let mut arena = arena.write().expect("arena lock");
-                for (b, cell) in staged.iter().enumerate() {
+                for cell in &staged {
                     let cell = &mut *cell.lock().expect("staged lock");
                     commit_round(
                         graph,
-                        b * chunk,
+                        &cell.wake,
                         &mut cell.pending,
                         &cell.invalid,
                         acct,
@@ -280,7 +275,7 @@ where
                     )?;
                 }
                 arena.advance();
-                Ok(newly_halted)
+                Ok(executed)
             })
         }));
         // Whether the run completed, failed or unwound, every worker waits

@@ -291,6 +291,20 @@ pub enum RoundAction<O> {
     /// Keep running; the messages queued in the [`Outbox`] are sent at the
     /// end of this round.
     Continue,
+    /// Sleep: the messages queued in the [`Outbox`] are sent at the end of
+    /// this round, then the node's [`NodeProgram::round`] is skipped until
+    /// round `r` or until a message is delivered to it, whichever comes
+    /// first — it runs in exactly that round. `u64::MAX` wakes only on a
+    /// message; `r <= ctx.round + 1` is the same as [`RoundAction::Continue`].
+    ///
+    /// The engine pays nothing for a sleeping node, so a schedule where most
+    /// nodes idle costs `O(active + delivered)` per round instead of `O(n)`.
+    /// The obligation is the program's: return this only when every skipped
+    /// round without a message would have been a no-op — no state change,
+    /// no send, no halt. Under that obligation the run's outputs, rounds and
+    /// message accounting equal those of the same program returning
+    /// `Continue` instead.
+    SleepUntil(u64),
     /// Terminate locally with the given output. A halted node sends no
     /// further messages (its outbox is discarded) and ignores incoming ones.
     Halt(O),
@@ -300,6 +314,12 @@ pub enum RoundAction<O> {
 ///
 /// All nodes run the same program type but each node owns its own instance
 /// (and therefore its own local state).
+///
+/// Every program may keep returning [`RoundAction::Continue`] and is then
+/// called in every round until it halts. A program whose rounds are mostly
+/// idle — a node waiting for its slot in a serialized schedule — returns
+/// [`RoundAction::SleepUntil`] with its next round of own work instead; it
+/// is still woken by any message, so it only has to know its own timers.
 pub trait NodeProgram {
     /// Message type exchanged with neighbors. The [`Wire`] bound gives every
     /// message a canonical byte encoding, so any program can run unchanged on
@@ -316,7 +336,8 @@ pub trait NodeProgram {
     /// delivered in round 1.
     fn init(&mut self, ctx: &NodeContext<'_>, outbox: &mut Outbox<'_, Self::Message>);
 
-    /// Called once per round with the messages received in that round.
+    /// Called once per round with the messages received in that round —
+    /// except in the rounds a [`RoundAction::SleepUntil`] skips.
     fn round(
         &mut self,
         ctx: &NodeContext<'_>,

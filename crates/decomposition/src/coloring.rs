@@ -386,6 +386,11 @@ struct OwnedConflict {
 /// constraints). After `2·steps` rounds every target holds its final color
 /// and all nodes halt. Build instances with
 /// [`distance_two_coloring_programs`].
+///
+/// A node has work only in its own decide round, the relay round right
+/// after it (its own fresh color goes out there), the final round and the
+/// rounds a message reaches it; otherwise it returns
+/// [`RoundAction::SleepUntil`] its decide or final round.
 #[derive(Debug, Clone)]
 pub struct DistanceTwoColoringProgram {
     num_steps: usize,
@@ -398,6 +403,20 @@ pub struct DistanceTwoColoringProgram {
 }
 
 impl DistanceTwoColoringProgram {
+    /// Sleeps after `round` until the node's decide round `2·my_step + 1` or
+    /// the final round `2·num_steps`, whichever comes first. No member is
+    /// fresh once a relay round has run, so until then a round without a
+    /// message is a no-op, and a message wakes the node anyway.
+    fn sleep(&self, round: u64) -> RoundAction<Option<usize>> {
+        let decide = self.my_step.map_or(u64::MAX, |s| 2 * s as u64 + 1);
+        let last = 2 * self.num_steps as u64;
+        RoundAction::SleepUntil(if decide > round {
+            decide.min(last)
+        } else {
+            last
+        })
+    }
+
     /// Records a fixed color in the owner-side member states.
     fn record_color(&mut self, id: usize, color: usize) {
         for oc in &mut self.owned {
@@ -468,8 +487,10 @@ impl NodeProgram for DistanceTwoColoringProgram {
                 self.my_color = Some(color);
                 self.record_color(my_id, color);
                 outbox.broadcast(ColoringMessage::Announce { color });
+                // Stay awake: the relay round relays this fresh color.
+                return RoundAction::Continue;
             }
-            RoundAction::Continue
+            self.sleep(ctx.round)
         } else {
             // Relay round after step round / 2 - 1.
             let step = (ctx.round / 2) as usize - 1;
@@ -508,7 +529,7 @@ impl NodeProgram for DistanceTwoColoringProgram {
                     m.fresh = false;
                 }
             }
-            RoundAction::Continue
+            self.sleep(ctx.round)
         }
     }
 }

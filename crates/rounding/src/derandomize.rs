@@ -395,6 +395,11 @@ impl Wire for ScheduledDerandOutput {
 /// fixed coin). After `2·steps` rounds every owner knows all member coins,
 /// evaluates its constraints, and halts. Build instances with
 /// [`scheduled_derand_programs`].
+///
+/// A node has work only in its reply rounds, its own decide round and the
+/// final round, plus the rounds an announcement reaches it; in between it
+/// returns [`RoundAction::SleepUntil`] its next such round, so the engine
+/// skips the schedule's idle node-rounds.
 #[derive(Debug, Clone)]
 pub struct ScheduledDerandProgram {
     estimator: EstimatorKind,
@@ -403,11 +408,12 @@ pub struct ScheduledDerandProgram {
     my_step: Option<usize>,
     coin: CoinState,
     owned: Vec<OwnedConstraint>,
-    /// `(step, owned-constraint index, member index)` sorted by step: the
-    /// owner-side reply agenda. A reply round binary-searches its step range
-    /// instead of scanning every owned member, turning the owner's total
-    /// scheduling work from `O(members · steps)` into
-    /// `O(steps · log members + members)`.
+    /// `(step, owned-constraint index, member index)` sorted by step, for
+    /// every scheduled member other than the owner itself: the owner-side
+    /// reply agenda. A reply round binary-searches its step range instead of
+    /// scanning every owned member, turning the owner's total scheduling
+    /// work from `O(members · steps)` into `O(steps · log members +
+    /// members)`, and the next agenda step is the owner's next reply round.
     agenda: Vec<(u32, u32, u32)>,
     /// `(member id, owned-constraint index, member index)` sorted by id, for
     /// coin recording and own-branch lookup by binary search.
@@ -420,12 +426,7 @@ pub struct ScheduledDerandProgram {
 impl ScheduledDerandProgram {
     /// Queues the reply messages for the deciders of `step`; the executing
     /// node's own decisions are evaluated locally at decision time instead.
-    fn send_replies(
-        &mut self,
-        ctx: &NodeContext<'_>,
-        outbox: &mut Outbox<'_, DerandMessage>,
-        step: usize,
-    ) {
+    fn send_replies(&mut self, outbox: &mut Outbox<'_, DerandMessage>, step: usize) {
         let lo = self
             .agenda
             .partition_point(|&(s, _, _)| (s as usize) < step);
@@ -435,13 +436,34 @@ impl ScheduledDerandProgram {
         for idx in lo..hi {
             let (_, ci, mi) = self.agenda[idx];
             let constraint = &self.owned[ci as usize];
-            let member = &constraint.members[mi as usize];
-            if member.id != ctx.id.0 {
-                let (take, zero) =
-                    constraint.branches(self.estimator, mi as usize, &mut self.scratch);
-                outbox.send(NodeId(member.id), DerandMessage::Reply { take, zero });
+            let (take, zero) = constraint.branches(self.estimator, mi as usize, &mut self.scratch);
+            let to = NodeId(constraint.members[mi as usize].id);
+            outbox.send(to, DerandMessage::Reply { take, zero });
+        }
+    }
+
+    /// Sleeps after `round` until the node's next round of own work: its
+    /// next reply round `2s`, its decide round `2·my_step + 1` or the final
+    /// round `2·num_steps`, whichever comes first. Every round in between
+    /// is a no-op unless an announcement arrives, and a message wakes the
+    /// node anyway.
+    fn sleep(&self, round: u64) -> RoundAction<ScheduledDerandOutput> {
+        let mut wake = 2 * self.num_steps as u64;
+        if let Some(step) = self.my_step {
+            let decide = 2 * step as u64 + 1;
+            if decide > round {
+                wake = wake.min(decide);
             }
         }
+        // The first agenda step whose reply round `2s` lies after `round`.
+        let next = round / 2 + 1;
+        let idx = self
+            .agenda
+            .partition_point(|&(s, _, _)| u64::from(s) < next);
+        if let Some(&(s, _, _)) = self.agenda.get(idx) {
+            wake = wake.min(2 * u64::from(s));
+        }
+        RoundAction::SleepUntil(wake)
     }
 
     /// The summed estimator branches of the executing node's own constraints
@@ -489,9 +511,9 @@ impl NodeProgram for ScheduledDerandProgram {
     type Message = DerandMessage;
     type Output = ScheduledDerandOutput;
 
-    fn init(&mut self, ctx: &NodeContext<'_>, outbox: &mut Outbox<'_, DerandMessage>) {
+    fn init(&mut self, _: &NodeContext<'_>, outbox: &mut Outbox<'_, DerandMessage>) {
         if self.num_steps > 0 {
-            self.send_replies(ctx, outbox, 0);
+            self.send_replies(outbox, 0);
         }
     }
 
@@ -545,7 +567,7 @@ impl NodeProgram for ScheduledDerandProgram {
                     take: self.coin == CoinState::Take,
                 });
             }
-            RoundAction::Continue
+            self.sleep(round)
         } else {
             // Absorb round for step (round / 2) - 1.
             let step = (round / 2) as usize - 1;
@@ -560,8 +582,8 @@ impl NodeProgram for ScheduledDerandProgram {
                 }
             }
             if step + 1 < self.num_steps {
-                self.send_replies(ctx, outbox, step + 1);
-                RoundAction::Continue
+                self.send_replies(outbox, step + 1);
+                self.sleep(round)
             } else {
                 RoundAction::Halt(self.finalize())
             }
@@ -702,8 +724,9 @@ pub fn scheduled_derand_programs(
             for (ci, oc) in owned.iter().enumerate() {
                 for (mi, m) in oc.members.iter().enumerate() {
                     member_slots.push((m.id as u32, ci as u32, mi as u32));
-                    if let Some(s) = m.step {
-                        agenda.push((s as u32, ci as u32, mi as u32));
+                    match m.step {
+                        Some(s) if m.id != i => agenda.push((s as u32, ci as u32, mi as u32)),
+                        _ => {}
                     }
                 }
             }

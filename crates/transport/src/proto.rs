@@ -5,8 +5,8 @@
 //! `(destination slot, message)` batch and one `(sender, payload)` entry per
 //! cross-shard broadcast — plus what each OS process needs to assemble the
 //! *complete* [`RunReport`] on its own: the shard's accounting sub-totals
-//! (which the receiver folds in `[leader, follower]` order), its
-//! newly-halted node outputs, and its first error. [`Hello`] is the
+//! (which the receiver folds in `[leader, follower]` order), how many of its
+//! nodes ran, its newly-halted node outputs, and its first error. [`Hello`] is the
 //! handshake that pins protocol version, topology shape and executor
 //! configuration before any round traffic flows.
 //!
@@ -30,7 +30,10 @@ use congest_sim::ExecutionError;
 ///
 /// v3: [`Hello`] lost its `record_round_stats` flag (every run records
 /// per-round statistics).
-pub const PROTOCOL_VERSION: u32 = 3;
+///
+/// v4: [`RoundPayload`] gained `active`, the count of the shard's nodes
+/// that ran in the round, for the per-round `RoundStats::active`.
+pub const PROTOCOL_VERSION: u32 = 4;
 
 /// The handshake payload. Both endpoints send theirs first and verify the
 /// peer's before any round traffic: a mismatch anywhere except `role` means
@@ -119,6 +122,9 @@ pub struct RoundPayload<M, O> {
     /// The round the payload belongs to (`0` covers `init`); a mismatch with
     /// the receiver's own round counter means the sessions desynchronized.
     pub round: u64,
+    /// How many of the sending shard's nodes ran `init` or `round` this
+    /// round (its sleepers and halted nodes did not).
+    pub active: usize,
     /// The sending shard's charging sub-totals for this round.
     pub acct: Accounting,
     /// Nodes of the sending shard that halted this round, with their outputs,
@@ -142,6 +148,7 @@ impl<M: Wire, O: Wire> RoundPayload<M, O> {
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
         self.round.encode(&mut out);
+        self.active.encode(&mut out);
         encode_acct(&self.acct, &mut out);
         self.newly_halted.encode(&mut out);
         self.error.encode(&mut out);
@@ -155,6 +162,7 @@ impl<M: Wire, O: Wire> RoundPayload<M, O> {
         let pos = &mut 0;
         let payload = RoundPayload {
             round: u64::decode(buf, pos).ok_or(FrameError::BadPayload("round.round"))?,
+            active: usize::decode(buf, pos).ok_or(FrameError::BadPayload("round.active"))?,
             acct: decode_acct(buf, pos).ok_or(FrameError::BadPayload("round.acct"))?,
             newly_halted: Vec::<(usize, O)>::decode(buf, pos)
                 .ok_or(FrameError::BadPayload("round.newly_halted"))?,
@@ -202,6 +210,7 @@ mod tests {
     fn round_payload_round_trips_with_f64_messages_bit_exactly() {
         let payload: RoundPayload<(f64, bool), u64> = RoundPayload {
             round: 7,
+            active: 5,
             acct: Accounting {
                 messages: 12,
                 payloads: 7,
@@ -220,6 +229,7 @@ mod tests {
         let bytes = payload.encode();
         let back = RoundPayload::<(f64, bool), u64>::decode(&bytes).unwrap();
         assert_eq!(back.round, payload.round);
+        assert_eq!(back.active, payload.active);
         assert_eq!(back.acct, payload.acct);
         assert_eq!(back.newly_halted, payload.newly_halted);
         assert_eq!(back.error, payload.error);
@@ -233,6 +243,7 @@ mod tests {
     fn truncated_round_payload_is_a_typed_error() {
         let payload: RoundPayload<u64, ()> = RoundPayload {
             round: 1,
+            active: 2,
             acct: Accounting::default(),
             newly_halted: vec![(0, ())],
             error: None,

@@ -14,15 +14,17 @@
 //! sender's mirror targets it owns. Each side then ships the peer a single
 //! checksummed frame (see [`crate::frame`]) carrying everything the peer
 //! cannot compute locally: those staged entries, its accounting sub-totals,
-//! its newly-halted nodes' outputs and its first error ([`RoundPayload`]).
-//! Both sides [`Accounting::fold`] the `[leader, follower]` sub-totals into
-//! the round's accounting, in the node order the in-process executors
-//! commit in, and the engine's [`RoundLoop`] does the rest: round limit,
-//! halt count, totals, per-round statistics and the report. So both
-//! processes assemble the *complete*, identical [`RunReport`] without a
-//! separate coordinator process. The round barrier is the exchange itself:
-//! neither side can advance past round `r` before holding the peer's
-//! round-`r` frame.
+//! how many of its nodes ran, its newly-halted nodes' outputs and its first
+//! error ([`RoundPayload`]). Each side keeps one [`WakeState`] for its
+//! block, so a sleeping node costs neither process anything. Both sides
+//! [`Accounting::fold`] the `[leader, follower]` sub-totals into the round's
+//! accounting, in the node order the in-process executors commit in, add
+//! the two active counts in the same order, and the engine's [`RoundLoop`]
+//! does the rest: round limit, halt count, totals, per-round statistics and
+//! the report. So both processes assemble the *complete*, identical
+//! [`RunReport`] without a separate coordinator process. The round barrier
+//! is the exchange itself: neither side can advance past round `r` before
+//! holding the peer's round-`r` frame.
 //!
 //! # Deadlock freedom and failure surface
 //!
@@ -50,8 +52,8 @@ use crate::frame::{read_frame, write_frame, FrameError, FrameKind};
 use crate::proto::{Hello, RoundPayload, PROTOCOL_VERSION};
 use crate::TransportError;
 use congest_sim::engine::{
-    commit_round, execute_block, Accounting, ArenaDelivery, Committed, ExecutionError, Executor,
-    ExecutorConfig, RoundLoop, RunReport,
+    commit_round, execute_block, Accounting, ArenaDelivery, Committed, Executed, ExecutionError,
+    Executor, ExecutorConfig, RoundLoop, RunReport, WakeState,
 };
 use congest_sim::program::{NodeProgram, Pending};
 use congest_sim::{Graph, NodeId};
@@ -371,16 +373,16 @@ impl Shard<'_> {
 
 /// Sends this side's round payload `out`, receives and validates the peer's,
 /// applies the peer's halted outputs and cross-shard messages, and returns
-/// the peer's sub-totals, halt count and first error. `out`'s halted outputs
-/// move into `outputs` and its batches are emptied, keeping their
-/// allocations for the next round.
+/// the peer's sub-totals, active and halt counts and first error. `out`'s
+/// halted outputs move into `outputs` and its batches are emptied, keeping
+/// their allocations for the next round.
 fn exchange<P: NodeProgram>(
     session: &mut SocketSession,
     shard: &Shard<'_>,
     out: &mut RoundPayload<P::Message, P::Output>,
     delivery: &mut ArenaDelivery<P::Message>,
     outputs: &mut [Option<P::Output>],
-) -> Result<(Accounting, usize, Option<ExecutionError>), TransportError> {
+) -> Result<(Accounting, Executed, Option<ExecutionError>), TransportError> {
     session.send(FrameKind::Round, &out.encode())?;
     for (v, output) in out.newly_halted.drain(..) {
         outputs[v] = Some(output);
@@ -400,6 +402,12 @@ fn exchange<P: NodeProgram>(
         return Err(TransportError::Protocol(format!(
             "round desync: peer is at round {}, local round is {}",
             peer.round, out.round
+        )));
+    }
+    if peer.active > shard.graph.n() - (shard.hi - shard.lo) {
+        return Err(TransportError::Protocol(format!(
+            "peer reported {} active nodes, more than it owns",
+            peer.active
         )));
     }
     let peer_halted = peer.newly_halted.len();
@@ -432,7 +440,11 @@ fn exchange<P: NodeProgram>(
             }
         }
     }
-    Ok((peer.acct, peer_halted, peer.error))
+    let executed = Executed {
+        active: peer.active,
+        halted: peer_halted,
+    };
+    Ok((peer.acct, executed, peer.error))
 }
 
 /// Sends this side's [`Hello`] and checks the peer's: protocol version,
@@ -533,7 +545,7 @@ fn run_session<P: NodeProgram>(
     programs.truncate(hi);
     programs.drain(..lo);
     let len = hi - lo;
-    let mut halted = vec![false; len];
+    let mut wake = WakeState::new(graph, lo..hi);
     // Outputs of local nodes that halted this round, until the exchange
     // moves them into `outputs`.
     let mut fresh: Vec<Option<P::Output>> = std::iter::repeat_with(|| None).take(len).collect();
@@ -544,6 +556,7 @@ fn run_session<P: NodeProgram>(
     let mut delivery = ArenaDelivery::new(graph);
     let mut out = RoundPayload {
         round: 0,
+        active: 0,
         acct: Accounting::default(),
         newly_halted: Vec::new(),
         error: None,
@@ -552,32 +565,32 @@ fn run_session<P: NodeProgram>(
     };
     let mirror = &graph.topology().mirror;
 
-    rounds.run(|round, acct| -> Result<usize, TransportError> {
-        let newly_halted = execute_block(
+    rounds.run(|round, acct| -> Result<Executed, TransportError> {
+        let mine = execute_block(
             graph,
-            lo,
             round,
-            delivery.current(),
+            &delivery,
             &mut programs,
-            &mut halted,
+            &mut wake,
             &mut fresh,
             &mut pending,
             &mut invalid,
         );
-        if newly_halted > 0 {
-            for (i, output) in fresh.iter_mut().enumerate() {
-                if let Some(output) = output.take() {
-                    out.newly_halted.push((lo + i, output));
+        if mine.halted > 0 {
+            for v in wake.active() {
+                if let Some(output) = fresh[v.0 - lo].take() {
+                    out.newly_halted.push((v.0, output));
                 }
             }
         }
         // Own slots go straight into the arena; the rest is staged for the
         // peer, a broadcast as one `(sender, payload)` entry.
         out.round = round;
+        out.active = mine.active;
         out.acct = Accounting::default();
         out.error = commit_round(
             graph,
-            lo,
+            &wake,
             &mut pending,
             &invalid,
             &mut out.acct,
@@ -607,24 +620,28 @@ fn run_session<P: NodeProgram>(
             },
         )
         .err();
-        let (peer_acct, peer_halted, peer_error) =
+        let (peer_acct, peer_executed, peer_error) =
             exchange::<P>(session, &shard, &mut out, &mut delivery, &mut outputs)?;
         delivery.advance();
-        let (mine, peer) = ((&out.acct, out.error.take()), (&peer_acct, peer_error));
+        let (mine, peer) = (
+            (&out.acct, mine, out.error.take()),
+            (&peer_acct, peer_executed, peer_error),
+        );
         // `[leader, follower]` is node order.
         let shares = match role {
             Role::Leader => [mine, peer],
             Role::Follower => [peer, mine],
         };
-        let mut error = None;
-        for (sub, e) in shares {
+        let (mut executed, mut error) = (Executed::default(), None);
+        for (sub, counts, e) in shares {
             acct.fold(sub);
+            executed = executed + counts;
             // The lowest shard's error is the first in node order.
             error = error.or(e);
         }
         match error {
             Some(e) => Err(e.into()),
-            None => Ok(newly_halted + peer_halted),
+            None => Ok(executed),
         }
     })?;
     Ok(rounds.report(outputs))
@@ -1078,6 +1095,7 @@ mod tests {
         let config = ExecutorConfig::default();
         let empty = || RoundPayload::<NodeId, usize> {
             round: 0,
+            active: 0,
             acct: Default::default(),
             newly_halted: Vec::new(),
             error: None,
@@ -1103,6 +1121,13 @@ mod tests {
                 "slot outside the leader's shard",
                 RoundPayload {
                     batch: vec![(3, NodeId(2))],
+                    ..empty()
+                },
+            ),
+            (
+                "more active nodes than the follower owns",
+                RoundPayload {
+                    active: 3,
                     ..empty()
                 },
             ),
