@@ -9,7 +9,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use congest_sim::{Graph, PhaseMode, PhaseOutcome, PooledExecutor};
+use congest_sim::{Graph, PhaseKind, PhaseMode, PhaseOutcome, PooledExecutor};
 use mds_cds::build::{connect_dominating_set, CdsConfig};
 use mds_cds::verify::is_connected_dominating_set;
 use mds_core::pipeline::{theorem_1_1, theorem_1_2, theorem_1_2_on, MdsConfig, MdsResult};
@@ -555,7 +555,16 @@ pub fn run_experiment(id: &str) -> String {
 /// simulated *charged* phase; now that the carving schedule runs on the
 /// engine, the trend gate pins its per-instance round cost exactly, just
 /// like the coloring rounds.
-pub const BENCH_SCHEMA_VERSION: u32 = 6;
+///
+/// v7 buckets measured wall time by the phases' typed
+/// [`PhaseKind`] instead of by their names, which adds the
+/// `"wall_netdecomp_ms"` bucket: until v7 the Theorem 1.1 network
+/// decomposition's wall time was filed under `"wall_derand_ms"`. v7 also
+/// drops two fields that carried no information: `"simulated_rounds"`, which
+/// equals `"measured_engine_rounds"` on every row (asserted when the row is
+/// written), and `"transport"`, which was `"arena"` on every row and is gone
+/// from the run identity.
+pub const BENCH_SCHEMA_VERSION: u32 = 7;
 
 /// Smallest `n` at which the benchmark additionally times the Theorem 1.2
 /// route on the 4-thread persistent-pool executor. Below this the run is
@@ -609,17 +618,20 @@ pub fn sweep_sizes(max_n: usize) -> Vec<usize> {
     sizes
 }
 
-/// Sum of engine wall time over measured phases selected by `pred`, in
-/// milliseconds.
-fn phase_wall_ms(phases: &[PhaseOutcome], pred: impl Fn(&PhaseOutcome) -> bool) -> f64 {
-    // `+ 0.0` normalizes the `-0.0` an empty `Sum<f64>` starts from, so
-    // routes without a matching phase print `0.000`, not `-0.000`.
-    phases
-        .iter()
-        .filter(|p| p.mode == PhaseMode::Measured && pred(p))
-        .map(|p| p.wall_nanos as f64 / 1e6)
-        .sum::<f64>()
-        + 0.0
+/// Engine wall time of the measured phases, in milliseconds, bucketed by
+/// kind in the order `[Fractional, NetDecomp, Coloring, Derand]`.
+fn wall_ms_by_kind(phases: &[PhaseOutcome]) -> [f64; 4] {
+    let mut buckets = [0.0; 4];
+    for p in phases.iter().filter(|p| p.mode == PhaseMode::Measured) {
+        let bucket = match p.kind {
+            PhaseKind::Fractional => 0,
+            PhaseKind::NetDecomp => 1,
+            PhaseKind::Coloring => 2,
+            PhaseKind::Derand => 3,
+        };
+        buckets[bucket] += p.wall_nanos as f64 / 1e6;
+    }
+    buckets
 }
 
 /// One benchmark JSON run line for a completed pipeline result.
@@ -631,23 +643,27 @@ fn bench_entry(
     r: &MdsResult,
     wall_ms: f64,
 ) -> String {
-    let mwu_ms = phase_wall_ms(&r.phases, |p| p.name.contains("part I"));
-    let coloring_ms = phase_wall_ms(&r.phases, |p| p.name.contains("Lemma 3.12"));
-    let derand_ms = phase_wall_ms(&r.phases, |p| {
-        !p.name.contains("part I") && !p.name.contains("Lemma 3.12")
-    });
-    let other_ms = (wall_ms - mwu_ms - coloring_ms - derand_ms).max(0.0);
+    // Every round of a composed run is spent on the engine: the ledger's
+    // simulated total has no column of its own because it must equal the
+    // measured engine rounds.
+    assert_eq!(
+        r.ledger.total_simulated_rounds(),
+        r.measured_engine_rounds(),
+        "{family_label} / {route} / {executor}: charged rounds outside the engine"
+    );
+    let [mwu_ms, netdecomp_ms, coloring_ms, derand_ms] = wall_ms_by_kind(&r.phases);
+    let other_ms = (wall_ms - mwu_ms - netdecomp_ms - coloring_ms - derand_ms).max(0.0);
     format!(
         concat!(
             "    {{\"n\": {}, \"m\": {}, \"max_degree\": {}, \"graph\": \"{}\", ",
-            "\"route\": \"{}\", \"executor\": \"{}\", \"transport\": \"arena\", ",
+            "\"route\": \"{}\", \"executor\": \"{}\", ",
             "\"size\": {}, \"lp_lower_bound\": {:.3}, ",
             "\"measured_engine_rounds\": {}, \"measured_coloring_rounds\": {}, ",
             "\"measured_netdecomp_rounds\": {}, ",
-            "\"simulated_rounds\": {}, ",
             "\"formula_rounds\": {}, \"messages\": {}, \"payloads\": {}, ",
             "\"wall_ms\": {:.3}, ",
-            "\"wall_mwu_ms\": {:.3}, \"wall_coloring_ms\": {:.3}, ",
+            "\"wall_mwu_ms\": {:.3}, \"wall_netdecomp_ms\": {:.3}, ",
+            "\"wall_coloring_ms\": {:.3}, ",
             "\"wall_derand_ms\": {:.3}, \"wall_other_ms\": {:.3}}}"
         ),
         g.n(),
@@ -661,12 +677,12 @@ fn bench_entry(
         r.measured_engine_rounds(),
         r.measured_coloring_rounds(),
         r.measured_netdecomp_rounds(),
-        r.ledger.total_simulated_rounds(),
         r.ledger.total_formula_rounds(),
         r.ledger.total_messages(),
         r.ledger.total_payloads(),
         wall_ms,
         mwu_ms,
+        netdecomp_ms,
         coloring_ms,
         derand_ms,
         other_ms,
@@ -687,10 +703,10 @@ fn bench_entry(
 /// bit-identical to the sequential run so the extra row can only ever differ
 /// in wall time. Sizes above [`SYNC_BENCH_MAX_N`] drop the sequential reference and
 /// produce the `"pooled4"` row alone; its determinism is pinned by the
-/// baseline's exact field gate. The wall breakdown classifies measured
-/// phases by name:
-/// `mwu` (Part I LP), `coloring` (Lemma 3.12 distance-two coloring), `derand`
-/// (every other measured phase — the scheduled coin fixing), and `other` (the
+/// baseline's exact field gate. The wall breakdown buckets measured phases
+/// by their [`PhaseKind`]: `mwu` (the Part I fractional solution), `netdecomp`
+/// (the GK18 network decomposition), `coloring` (the Lemma 3.12 distance-two
+/// coloring), `derand` (the scheduled coin fixing), and `other` (the
 /// remainder: central bookkeeping, charged simulations, graph-local setup).
 pub fn pipeline_benchmark_json(sizes: &[usize]) -> String {
     let config = MdsConfig::default();
@@ -769,7 +785,6 @@ pub fn write_pipeline_benchmark(path: &str, sizes: &[usize]) -> std::io::Result<
 /// extends it with decade steps via [`sweep_sizes`].
 pub const JSON_BENCH_SIZES: [usize; 3] = [50, 100, 200];
 
-pub mod flood;
 pub mod trend;
 
 #[cfg(test)]
@@ -795,25 +810,27 @@ mod tests {
         let json = pipeline_benchmark_json(&[30]);
         for key in [
             "\"benchmark\": \"pipeline\"",
-            "\"schema_version\": 6",
+            "\"schema_version\": 7",
             "\"graph\": \"gnp_n30_",
             "\"route\": \"theorem_1_1\"",
             "\"route\": \"theorem_1_2\"",
             "\"executor\": \"sync\"",
-            "\"transport\": \"arena\"",
             "\"measured_engine_rounds\"",
             "\"measured_coloring_rounds\"",
             "\"measured_netdecomp_rounds\"",
-            "\"simulated_rounds\"",
             "\"formula_rounds\"",
             "\"payloads\"",
             "\"wall_ms\"",
             "\"wall_mwu_ms\"",
+            "\"wall_netdecomp_ms\"",
             "\"wall_coloring_ms\"",
             "\"wall_derand_ms\"",
             "\"wall_other_ms\"",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
+        }
+        for dropped in ["\"simulated_rounds\"", "\"transport\""] {
+            assert!(!json.contains(dropped), "{dropped} is gone since v7");
         }
         // Two routes over one size; below POOLED_BENCH_MIN_N there is no
         // extra pooled-executor row.
@@ -821,10 +838,7 @@ mod tests {
         assert!(!json.contains("pooled4"));
         // The decomposition route never colors; the coloring route measures
         // its Lemma 3.12 phases on the engine.
-        assert!(json.contains(
-            "\"route\": \"theorem_1_1\", \"executor\": \"sync\", \
-             \"transport\": \"arena\", \"size\""
-        ));
+        assert!(json.contains("\"route\": \"theorem_1_1\", \"executor\": \"sync\", \"size\""));
         let coloring_route = json
             .lines()
             .find(|l| l.contains("theorem_1_2"))
@@ -837,6 +851,40 @@ mod tests {
             .expect("theorem_1_1 entry present");
         assert!(nd_route.contains("\"measured_coloring_rounds\": 0"));
         assert!(!nd_route.contains("\"measured_netdecomp_rounds\": 0"));
+    }
+
+    #[test]
+    fn wall_buckets_follow_the_phase_kinds() {
+        let g = generators::generate(&bench_family(50), 3);
+        let r = theorem_1_1(&g, &MdsConfig::default());
+        let [mwu_ms, netdecomp_ms, coloring_ms, derand_ms] = wall_ms_by_kind(&r.phases);
+        let nd_wall: Vec<_> = r
+            .phases
+            .iter()
+            .filter(|p| p.mode == PhaseMode::Measured && p.kind == PhaseKind::NetDecomp)
+            .map(|p| p.wall_nanos as f64 / 1e6)
+            .collect();
+        // The Theorem 1.1 route's one decomposition lands in its own bucket,
+        // not in the derandomization one.
+        assert_eq!(nd_wall, vec![netdecomp_ms]);
+        assert!(netdecomp_ms > 0.0);
+        assert_eq!(coloring_ms, 0.0);
+        let measured_ms: f64 = r
+            .phases
+            .iter()
+            .filter(|p| p.mode == PhaseMode::Measured)
+            .map(|p| p.wall_nanos as f64 / 1e6)
+            .sum();
+        let buckets_ms = mwu_ms + netdecomp_ms + coloring_ms + derand_ms;
+        assert!(
+            (buckets_ms - measured_ms).abs() < 1e-6,
+            "{buckets_ms} vs {measured_ms}"
+        );
+        let row = bench_entry(&g, "g", "theorem_1_1", "sync", &r, measured_ms);
+        assert!(
+            row.contains(&format!("\"wall_netdecomp_ms\": {netdecomp_ms:.3}")),
+            "{row}"
+        );
     }
 
     #[test]

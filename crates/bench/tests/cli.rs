@@ -35,8 +35,28 @@ fn missing_experiment_id_is_a_usage_error() {
 }
 
 #[test]
-fn non_numeric_sweep_size_is_a_usage_error() {
-    assert_usage_error(&["--executor-sweep", "lots"]);
+fn unrecognized_flag_is_a_usage_error() {
+    assert_usage_error(&["--bogus"]);
+}
+
+#[test]
+fn removed_executor_sweep_is_a_usage_error() {
+    assert_usage_error(&["--executor-sweep", "10"]);
+}
+
+#[test]
+fn max_n_without_json_is_a_usage_error() {
+    assert_usage_error(&["--max-n", "10"]);
+}
+
+#[test]
+fn non_numeric_max_n_is_a_usage_error() {
+    assert_usage_error(&["--json", "--max-n", "lots"]);
+}
+
+#[test]
+fn two_modes_at_once_are_a_usage_error() {
+    assert_usage_error(&["--exp", "e7", "--compare", "a.json", "b.json"]);
 }
 
 #[test]

@@ -9,17 +9,19 @@
 //! whole pipeline. A [`ComposedProgram`] closes that gap: it owns the graph,
 //! the executor and one [`RoundLedger`], runs **measured** phases (real node
 //! programs on the engine, their [`RunReport`]s charged through
-//! [`RunReport::charge_with_formula`]) and records **charged** phases
+//! [`RoundLedger::record`]) and records **charged** phases
 //! (combinatorial constructions simulated centrally, charged with the paper's
 //! closed-form bound) into the same accounting stream, in execution order.
 //! Typed state flows between phases as ordinary Rust values — the outputs of
 //! one phase parameterize the node programs of the next.
 //!
-//! Reusable phases implement [`Phase`]; one-off steps can call
-//! [`ComposedProgram::measured`] / [`ComposedProgram::charged`] directly.
+//! Every phase carries a [`PhaseKind`] naming the step of the paper it
+//! belongs to. Consumers that attribute cost to a step (the bench's wall
+//! buckets, the pipeline's per-step round counts) select phases by kind;
+//! the phase name is a label for humans and ledgers only.
 //!
 //! ```
-//! use congest_sim::compose::{ComposedProgram, PhaseSpec};
+//! use congest_sim::compose::{ComposedProgram, PhaseKind, PhaseSpec};
 //! use congest_sim::{Graph, SyncExecutor, ExecutorConfig};
 //! # use congest_sim::{Inbox, NodeContext, NodeProgram, Outbox, RoundAction};
 //! # struct Noop;
@@ -33,12 +35,16 @@
 //! let g = Graph::from_edges(3, &[(0, 1), (1, 2)]).unwrap();
 //! let mut composed = ComposedProgram::new(&g, &SyncExecutor, ExecutorConfig::default());
 //! let ids = composed
-//!     .measured(PhaseSpec::named("identify"), (0..3).map(|_| Noop).collect::<Vec<_>>())
+//!     .measured(
+//!         PhaseSpec::new(PhaseKind::Fractional, "identify"),
+//!         (0..3).map(|_| Noop).collect::<Vec<_>>(),
+//!     )
 //!     .unwrap();
 //! assert_eq!(ids.outputs, vec![0, 1, 2]);
-//! composed.charged(PhaseSpec::named("table lookup").with_formula(5), 1, 6);
+//! composed.charged(PhaseSpec::new(PhaseKind::Derand, "table lookup").with_formula(5), 1, 6);
 //! let report = composed.finish();
 //! assert_eq!(report.phases.len(), 2);
+//! assert_eq!(report.phases[1].kind, PhaseKind::Derand);
 //! assert_eq!(report.ledger.total_formula_rounds(), 1 + 5);
 //! ```
 
@@ -47,9 +53,27 @@ use crate::ledger::RoundLedger;
 use crate::program::NodeProgram;
 use crate::Graph;
 
-/// Name and optional closed-form round bound of one phase.
+/// Which step of the paper's algorithms a phase belongs to. Each variant has
+/// a producer in the MDS pipeline; cost attribution selects phases by kind,
+/// never by name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PhaseKind {
+    /// The Lemma 2.1 initial fractional solution (\[KMW06\]) and its
+    /// fractionality floor.
+    Fractional,
+    /// The \[GK18\] network decomposition of the Theorem 1.1 route.
+    NetDecomp,
+    /// The Lemma 3.12 distance-two coloring of the Theorem 1.2 route.
+    Coloring,
+    /// The Lemma 3.4 / 3.10 derandomization (conditional expectations).
+    Derand,
+}
+
+/// Kind, name and optional closed-form round bound of one phase.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PhaseSpec {
+    /// The step of the paper the phase belongs to.
+    pub kind: PhaseKind,
     /// Phase name, used as the [`RoundLedger`] entry.
     pub name: String,
     /// The paper's closed-form round bound for the phase, if one is stated;
@@ -59,9 +83,10 @@ pub struct PhaseSpec {
 }
 
 impl PhaseSpec {
-    /// A spec with the given name and no closed-form bound.
-    pub fn named(name: impl Into<String>) -> Self {
+    /// A spec with the given kind and name and no closed-form bound.
+    pub fn new(kind: PhaseKind, name: impl Into<String>) -> Self {
         PhaseSpec {
+            kind,
             name: name.into(),
             formula_rounds: None,
         }
@@ -86,6 +111,8 @@ pub enum PhaseMode {
 /// Cost summary of one completed phase of a [`ComposedProgram`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PhaseOutcome {
+    /// The step of the paper the phase belongs to.
+    pub kind: PhaseKind,
     /// The phase name.
     pub name: String,
     /// Whether the cost was measured on the engine or charged centrally.
@@ -113,54 +140,14 @@ pub struct CompositionReport {
 }
 
 /// Total rounds across the phases of a trace that actually ran on the engine
-/// — the one definition of "measured rounds", shared by
-/// [`CompositionReport::measured_rounds`] and downstream result types that
-/// retain a phase trace.
+/// — the one definition of "measured rounds", shared by downstream result
+/// types that retain a phase trace.
 pub fn measured_rounds(phases: &[PhaseOutcome]) -> u64 {
     phases
         .iter()
         .filter(|p| p.mode == PhaseMode::Measured)
         .map(|p| p.rounds)
         .sum()
-}
-
-impl CompositionReport {
-    /// Total rounds across phases that actually ran on the engine.
-    pub fn measured_rounds(&self) -> u64 {
-        measured_rounds(&self.phases)
-    }
-
-    /// Number of phases that ran on the engine.
-    pub fn measured_phase_count(&self) -> usize {
-        self.phases
-            .iter()
-            .filter(|p| p.mode == PhaseMode::Measured)
-            .count()
-    }
-}
-
-/// A reusable, typed phase of a composed program.
-///
-/// The input is whatever state the previous phases produced; the output feeds
-/// the next phase. Implementations call back into the composer to run node
-/// programs ([`ComposedProgram::measured`]) or record central work
-/// ([`ComposedProgram::charged`]).
-pub trait Phase {
-    /// State consumed by the phase.
-    type Input;
-    /// State produced by the phase.
-    type Output;
-
-    /// Executes the phase against the composer's graph, executor and ledger.
-    ///
-    /// # Errors
-    ///
-    /// Propagates engine errors from measured sub-phases.
-    fn run<E: Executor>(
-        self,
-        composer: &mut ComposedProgram<'_, E>,
-        input: Self::Input,
-    ) -> Result<Self::Output, ExecutionError>;
 }
 
 /// Sequences heterogeneous [`NodeProgram`]s (and charged central steps) as
@@ -204,19 +191,6 @@ impl<'a, E: Executor> ComposedProgram<'a, E> {
         &self.ledger
     }
 
-    /// Runs a typed [`Phase`] with the given input, returning its output.
-    ///
-    /// # Errors
-    ///
-    /// Propagates engine errors from the phase's measured sub-phases.
-    pub fn run_phase<P: Phase>(
-        &mut self,
-        phase: P,
-        input: P::Input,
-    ) -> Result<P::Output, ExecutionError> {
-        phase.run(self, input)
-    }
-
     /// Runs `programs` on the engine as one measured phase: the resulting
     /// [`RunReport`] is charged to the unified ledger (against
     /// `spec.formula_rounds` when given) and summarized in the phase trace.
@@ -238,11 +212,15 @@ impl<'a, E: Executor> ComposedProgram<'a, E> {
         let started = std::time::Instant::now();
         let report = self.executor.run(self.graph, programs, &self.config)?;
         let wall_nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        match spec.formula_rounds {
-            Some(f) => report.charge_with_formula(&mut self.ledger, &spec.name, f),
-            None => report.charge(&mut self.ledger, &spec.name),
-        }
+        self.ledger.record(
+            &spec.name,
+            report.rounds,
+            spec.formula_rounds,
+            report.messages,
+            report.payloads,
+        );
         self.phases.push(PhaseOutcome {
+            kind: spec.kind,
             name: spec.name,
             mode: PhaseMode::Measured,
             rounds: report.rounds,
@@ -255,13 +233,15 @@ impl<'a, E: Executor> ComposedProgram<'a, E> {
     /// Records a centrally simulated phase: `simulated_rounds`/`messages` are
     /// charged to the ledger (against `spec.formula_rounds` when given).
     pub fn charged(&mut self, spec: PhaseSpec, simulated_rounds: u64, messages: u64) {
-        match spec.formula_rounds {
-            Some(f) => self
-                .ledger
-                .charge_with_formula(&spec.name, simulated_rounds, f, messages),
-            None => self.ledger.charge(&spec.name, simulated_rounds, messages),
-        }
+        self.ledger.record(
+            &spec.name,
+            simulated_rounds,
+            spec.formula_rounds,
+            messages,
+            messages,
+        );
         self.phases.push(PhaseOutcome {
+            kind: spec.kind,
             name: spec.name,
             mode: PhaseMode::Charged,
             rounds: simulated_rounds,
@@ -271,10 +251,12 @@ impl<'a, E: Executor> ComposedProgram<'a, E> {
     }
 
     /// Absorbs a sub-ledger produced by a helper (e.g. a decomposition or
-    /// coloring construction) as charged phases, preserving its entries.
-    pub fn absorb(&mut self, ledger: RoundLedger) {
+    /// coloring construction) as charged phases of `kind`, preserving its
+    /// entries.
+    pub fn absorb(&mut self, kind: PhaseKind, ledger: RoundLedger) {
         for phase in ledger.phases() {
             self.phases.push(PhaseOutcome {
+                kind,
                 name: phase.name.clone(),
                 mode: PhaseMode::Charged,
                 rounds: phase.simulated_rounds,
@@ -365,18 +347,22 @@ mod tests {
         // Phase 1: integer messages.
         let mins = composed
             .measured(
-                PhaseSpec::named("min ids").with_formula(1),
+                PhaseSpec::new(PhaseKind::Fractional, "min ids").with_formula(1),
                 (0..4).map(|_| OneShotMin { best: 0 }).collect::<Vec<_>>(),
             )
             .unwrap();
 
         // Charged interlude.
-        composed.charged(PhaseSpec::named("central table").with_formula(7), 2, 9);
+        composed.charged(
+            PhaseSpec::new(PhaseKind::Coloring, "central table").with_formula(7),
+            2,
+            9,
+        );
 
         // Phase 2: float messages parameterized by phase-1 outputs.
         let sums = composed
             .measured(
-                PhaseSpec::named("neighborhood sums"),
+                PhaseSpec::new(PhaseKind::Derand, "neighborhood sums"),
                 mins.outputs
                     .iter()
                     .map(|&b| SumFloats {
@@ -392,8 +378,16 @@ mod tests {
         assert_eq!(report.phases.len(), 3);
         assert_eq!(report.phases[0].mode, PhaseMode::Measured);
         assert_eq!(report.phases[1].mode, PhaseMode::Charged);
-        assert_eq!(report.measured_phase_count(), 2);
-        assert_eq!(report.measured_rounds(), mins.rounds + sums.rounds);
+        let kinds: Vec<_> = report.phases.iter().map(|p| p.kind).collect();
+        assert_eq!(
+            kinds,
+            [
+                PhaseKind::Fractional,
+                PhaseKind::Coloring,
+                PhaseKind::Derand
+            ]
+        );
+        assert_eq!(measured_rounds(&report.phases), mins.rounds + sums.rounds);
         // Ledger: measured 1 + charged 2 + measured 1 simulated rounds; the
         // paper view swaps in the formulas where recorded.
         assert_eq!(report.ledger.total_simulated_rounds(), 1 + 2 + 1);
@@ -408,40 +402,13 @@ mod tests {
         let mut sub = RoundLedger::new();
         sub.charge_with_formula("decomposition", 11, 40, 5);
         sub.charge("coloring", 3, 6);
-        composed.absorb(sub);
+        composed.absorb(PhaseKind::NetDecomp, sub);
         let report = composed.finish();
         assert_eq!(report.phases.len(), 2);
         assert!(report.phases.iter().all(|p| p.mode == PhaseMode::Charged));
+        assert!(report.phases.iter().all(|p| p.kind == PhaseKind::NetDecomp));
         assert_eq!(report.ledger.total_simulated_rounds(), 14);
         assert_eq!(report.ledger.total_formula_rounds(), 43);
-    }
-
-    struct DoubledMin;
-    impl Phase for DoubledMin {
-        type Input = u64;
-        type Output = (u64, usize);
-        fn run<E: Executor>(
-            self,
-            composer: &mut ComposedProgram<'_, E>,
-            input: u64,
-        ) -> Result<(u64, usize), ExecutionError> {
-            let n = composer.graph().n();
-            let report = composer.measured(
-                PhaseSpec::named("min ids"),
-                (0..n).map(|_| OneShotMin { best: 0 }).collect::<Vec<_>>(),
-            )?;
-            Ok((input * 2, report.outputs[0]))
-        }
-    }
-
-    #[test]
-    fn typed_phase_trait_threads_state_through_the_composer() {
-        let g = path(3);
-        let mut composed = ComposedProgram::new(&g, &SyncExecutor, ExecutorConfig::default());
-        let (doubled, min) = composed.run_phase(DoubledMin, 21).unwrap();
-        assert_eq!(doubled, 42);
-        assert_eq!(min, 0);
-        assert_eq!(composed.finish().measured_phase_count(), 1);
     }
 
     #[test]
@@ -451,7 +418,7 @@ mod tests {
         // Wrong program count.
         let err = composed
             .measured(
-                PhaseSpec::named("broken"),
+                PhaseSpec::new(PhaseKind::Derand, "broken"),
                 vec![OneShotMin { best: 0 }], // 1 program for 3 nodes
             )
             .unwrap_err();

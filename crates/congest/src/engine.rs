@@ -40,17 +40,17 @@
 //! `crate::topology`), so repeated runs and multi-phase compositions share
 //! the `O(m log Δ)` setup.
 //!
-//! Every run produces a [`RunReport`] with per-round [`RoundStats`]; the
-//! report feeds the same [`RoundLedger`] machinery used for closed-form
-//! charging via [`RunReport::charge`] / [`RunReport::charge_with_formula`],
-//! so measured and formula-derived round counts flow through one accounting
-//! path.
+//! Every run produces a [`RunReport`] with per-round [`RoundStats`]. Its
+//! rounds, messages and payloads go into the same
+//! [`RoundLedger`](crate::RoundLedger) as closed-form charges, through
+//! [`RoundLedger::record`](crate::RoundLedger::record), so measured and
+//! formula-derived round counts flow through one accounting path.
 
 use crate::message::MessageSize;
 use crate::program::{
     Inbox, NodeContext, NodeProgram, OutMsg, Outbox, Pending, RoundAction, INVALID_SLOT,
 };
-use crate::{Graph, NodeId, RoundLedger};
+use crate::{Graph, NodeId};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::error::Error;
@@ -143,28 +143,6 @@ pub struct RunReport<O> {
     pub bandwidth_bits: usize,
     /// Per-round statistics: one entry per executed round, `init` included.
     pub round_stats: Vec<RoundStats>,
-}
-
-impl<O> RunReport<O> {
-    /// Charges the measured cost of this run to `ledger` as one phase. This
-    /// is the unified instrumentation path: algorithms executed on the
-    /// engine and algorithms charged in closed form land in the same
-    /// [`RoundLedger`] / [`crate::CostReport`].
-    pub fn charge(&self, ledger: &mut RoundLedger, name: &str) {
-        ledger.charge_measured(name, self.rounds, self.messages, self.payloads);
-    }
-
-    /// Charges the measured cost together with the paper's closed-form round
-    /// bound for the phase, so reports can compare measured vs claimed.
-    pub fn charge_with_formula(&self, ledger: &mut RoundLedger, name: &str, formula_rounds: u64) {
-        ledger.charge_measured_with_formula(
-            name,
-            self.rounds,
-            formula_rounds,
-            self.messages,
-            self.payloads,
-        );
-    }
 }
 
 /// Errors produced by [`Executor::run`].
@@ -1062,6 +1040,7 @@ mod tests {
     use super::*;
     use crate::pool::PooledExecutor;
     use crate::program::{Inbox, NodeContext, Outbox, RoundAction};
+    use crate::RoundLedger;
 
     /// Every node floods its identifier for `k` rounds and outputs the
     /// smallest identifier it has heard of — after `diameter` rounds every
@@ -1419,8 +1398,9 @@ mod tests {
             .run(&g, min_id_programs(5, 5), &ExecutorConfig::default())
             .unwrap();
         let mut ledger = RoundLedger::new();
-        report.charge(&mut ledger, "min-id flood");
-        report.charge_with_formula(&mut ledger, "min-id flood vs diameter bound", 5);
+        let (rounds, messages, payloads) = (report.rounds, report.messages, report.payloads);
+        ledger.record("min-id flood", rounds, None, messages, payloads);
+        ledger.record("min-id flood vs bound", rounds, Some(5), messages, payloads);
         assert_eq!(ledger.total_simulated_rounds(), 2 * report.rounds);
         assert_eq!(ledger.total_messages(), 2 * report.messages);
         assert_eq!(ledger.phases()[1].formula_rounds, Some(5));

@@ -54,7 +54,7 @@ impl RoundLedger {
     /// simulated cost is used for both views. Payloads default to the message
     /// count (closed-form phases have no broadcast compression to report).
     pub fn charge(&mut self, name: &str, simulated_rounds: u64, messages: u64) {
-        self.charge_measured(name, simulated_rounds, messages, messages);
+        self.record(name, simulated_rounds, None, messages, messages);
     }
 
     /// Charges a phase with both a simulated cost and the paper's closed-form
@@ -66,48 +66,31 @@ impl RoundLedger {
         formula_rounds: u64,
         messages: u64,
     ) {
-        self.charge_measured_with_formula(
+        self.record(
             name,
             simulated_rounds,
-            formula_rounds,
+            Some(formula_rounds),
             messages,
             messages,
         );
     }
 
-    /// Charges a measured phase with an explicit stored-payload count (the
-    /// engine's `RunReport` uses this so the broadcast fast path's Δ-factor
-    /// compression shows up in the ledger).
-    pub fn charge_measured(
+    /// Records one phase with every column explicit. Engine runs use this
+    /// with their `RunReport`'s counts, so the broadcast fast path's
+    /// Δ-factor compression (`payloads < messages`) shows up in the ledger
+    /// and measured and charged costs share one accounting path.
+    pub fn record(
         &mut self,
         name: &str,
         simulated_rounds: u64,
+        formula_rounds: Option<u64>,
         messages: u64,
         payloads: u64,
     ) {
         self.phases.push(PhaseCost {
             name: name.to_owned(),
             simulated_rounds,
-            formula_rounds: None,
-            messages,
-            payloads,
-        });
-    }
-
-    /// Charges a measured phase with an explicit stored-payload count and the
-    /// paper's closed-form round bound.
-    pub fn charge_measured_with_formula(
-        &mut self,
-        name: &str,
-        simulated_rounds: u64,
-        formula_rounds: u64,
-        messages: u64,
-        payloads: u64,
-    ) {
-        self.phases.push(PhaseCost {
-            name: name.to_owned(),
-            simulated_rounds,
-            formula_rounds: Some(formula_rounds),
+            formula_rounds,
             messages,
             payloads,
         });
@@ -146,87 +129,33 @@ impl RoundLedger {
     pub fn total_payloads(&self) -> u64 {
         self.phases.iter().map(|p| p.payloads).sum()
     }
-
-    /// Produces an owned summary suitable for experiment output.
-    pub fn report(&self) -> CostReport {
-        CostReport {
-            simulated_rounds: self.total_simulated_rounds(),
-            formula_rounds: self.total_formula_rounds(),
-            messages: self.total_messages(),
-            payloads: self.total_payloads(),
-            phases: self.phases.clone(),
-        }
-    }
 }
 
-/// The one rendering shared by [`RoundLedger`] and [`CostReport`]: a totals
-/// line followed by the per-phase breakdown.
-fn fmt_costs(
-    f: &mut fmt::Formatter<'_>,
-    simulated: u64,
-    formula: u64,
-    messages: u64,
-    payloads: u64,
-    phases: &[PhaseCost],
-) -> fmt::Result {
-    writeln!(
-        f,
-        "rounds(sim)={simulated} rounds(paper)={formula} messages={messages} payloads={payloads}"
-    )?;
-    for p in phases {
-        writeln!(
-            f,
-            "  {:<40} sim={:<10} paper={:<10} msgs={} payloads={}",
-            p.name,
-            p.simulated_rounds,
-            p.formula_rounds
-                .map(|r| r.to_string())
-                .unwrap_or_else(|| "-".to_owned()),
-            p.messages,
-            p.payloads
-        )?;
-    }
-    Ok(())
-}
-
+/// A totals line followed by the per-phase breakdown.
 impl fmt::Display for RoundLedger {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt_costs(
+        writeln!(
             f,
+            "rounds(sim)={} rounds(paper)={} messages={} payloads={}",
             self.total_simulated_rounds(),
             self.total_formula_rounds(),
             self.total_messages(),
-            self.total_payloads(),
-            &self.phases,
-        )
-    }
-}
-
-/// A frozen summary of a [`RoundLedger`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct CostReport {
-    /// Total simulated rounds.
-    pub simulated_rounds: u64,
-    /// Total rounds under the paper's closed-form bounds.
-    pub formula_rounds: u64,
-    /// Total messages.
-    pub messages: u64,
-    /// Total stored payloads (see [`PhaseCost::payloads`]).
-    pub payloads: u64,
-    /// Per-phase breakdown.
-    pub phases: Vec<PhaseCost>,
-}
-
-impl fmt::Display for CostReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt_costs(
-            f,
-            self.simulated_rounds,
-            self.formula_rounds,
-            self.messages,
-            self.payloads,
-            &self.phases,
-        )
+            self.total_payloads()
+        )?;
+        for p in &self.phases {
+            writeln!(
+                f,
+                "  {:<40} sim={:<10} paper={:<10} msgs={} payloads={}",
+                p.name,
+                p.simulated_rounds,
+                p.formula_rounds
+                    .map(|r| r.to_string())
+                    .unwrap_or_else(|| "-".to_owned()),
+                p.messages,
+                p.payloads
+            )?;
+        }
+        Ok(())
     }
 }
 
@@ -489,9 +418,6 @@ mod tests {
         assert_eq!(a.total_simulated_rounds(), 8);
         assert_eq!(a.total_formula_rounds(), 103);
         assert_eq!(a.total_messages(), 30);
-        let report = a.report();
-        assert_eq!(report.simulated_rounds, 8);
-        assert_eq!(report.phases.len(), 2);
     }
 
     #[test]
@@ -507,8 +433,8 @@ mod tests {
     fn measured_charges_record_stored_payloads() {
         let mut l = RoundLedger::new();
         l.charge("closed form", 2, 10);
-        l.charge_measured("broadcast phase", 4, 40, 10);
-        l.charge_measured_with_formula("broadcast with bound", 4, 99, 40, 10);
+        l.record("broadcast phase", 4, None, 40, 10);
+        l.record("broadcast with bound", 4, Some(99), 40, 10);
         assert_eq!(
             l.phases()[0].payloads,
             10,
@@ -516,9 +442,8 @@ mod tests {
         );
         assert_eq!(l.total_messages(), 90);
         assert_eq!(l.total_payloads(), 30);
-        let report = l.report();
-        assert_eq!(report.payloads, 30);
-        assert!(report.to_string().contains("payloads=30"));
+        assert_eq!(l.total_formula_rounds(), 2 + 4 + 99);
+        assert!(l.to_string().contains("payloads=30"));
     }
 
     #[test]
@@ -540,10 +465,7 @@ mod tests {
         l.charge_with_formula("with paper bound", 2, 50, 1);
         assert_eq!(l.total_formula_rounds(), 7 + 50);
         assert_eq!(l.total_simulated_rounds(), 9);
-        // The frozen report preserves the fallback.
-        let report = l.report();
-        assert_eq!(report.formula_rounds, 57);
-        assert_eq!(report.phases[0].formula_rounds, None);
+        assert_eq!(l.phases()[1].formula_rounds, Some(50));
     }
 
     #[test]
@@ -551,8 +473,7 @@ mod tests {
         let mut l = RoundLedger::new();
         l.charge("alpha phase", 4, 12);
         l.charge_with_formula("beta phase", 6, 99, 8);
-        let report = l.report();
-        let s = report.to_string();
+        let s = l.to_string();
         assert!(s.starts_with("rounds(sim)=10 rounds(paper)=103 messages=20"));
         assert!(s.contains("alpha phase"));
         assert!(s.contains("beta phase"));
@@ -561,7 +482,5 @@ mod tests {
         assert!(s.contains("sim=4"));
         assert!(s.contains("paper=-"));
         assert!(s.contains("paper=99"));
-        // The frozen report and the live ledger render identically.
-        assert_eq!(s, l.to_string());
     }
 }

@@ -26,13 +26,14 @@
 //!   heterogeneous node programs (and centrally simulated, closed-form-charged
 //!   steps) as the phases of one multi-phase algorithm, carrying typed state
 //!   between phases and attributing every phase's cost to a single ledger.
+//!   Each phase carries a typed [`compose::PhaseKind`].
 //! * [`ledger::RoundLedger`] — round/message accounting for *composite*
 //!   algorithms whose communication pattern is specified by the paper through
 //!   well-defined primitives (e.g. "aggregate a sum along a cluster tree of
 //!   depth `d` costs `O(d)` rounds"). The ledger records both the simulated
 //!   cost and the closed-form cost stated in the paper, so experiments can
 //!   report either; measured engine runs feed the same ledger through
-//!   [`engine::RunReport::charge`].
+//!   [`ledger::RoundLedger::record`].
 //!
 //! # Example
 //!
@@ -60,14 +61,16 @@ pub mod pool;
 pub mod program;
 pub mod topology;
 
-pub use compose::{ComposedProgram, CompositionReport, Phase, PhaseMode, PhaseOutcome, PhaseSpec};
+pub use compose::{
+    ComposedProgram, CompositionReport, PhaseKind, PhaseMode, PhaseOutcome, PhaseSpec,
+};
 pub use engine::{
     Accounting, ArenaDelivery, Committed, ExecutionError, Executor, ExecutorConfig, RoundStats,
     RunReport, SyncExecutor,
 };
 pub use error::GraphError;
 pub use graph::{Graph, GraphBuilder, NodeId};
-pub use ledger::{CostReport, PhaseCost, RoundLedger};
+pub use ledger::{PhaseCost, RoundLedger};
 pub use message::{MessageSize, Wire};
 pub use pool::PooledExecutor;
 pub use program::{

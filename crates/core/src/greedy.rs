@@ -346,7 +346,13 @@ pub fn distributed_greedy_on<E: Executor>(
     } else {
         formulas::greedy_span_rounds(phases)
     };
-    report.charge_with_formula(&mut ledger, "distributed span-greedy (measured)", formula);
+    ledger.record(
+        "distributed span-greedy (measured)",
+        report.rounds,
+        Some(formula),
+        report.messages,
+        report.payloads,
+    );
     Ok(DistributedGreedyResult {
         set,
         report,

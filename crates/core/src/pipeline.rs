@@ -42,8 +42,8 @@
 
 use congest_sim::ledger::formulas;
 use congest_sim::{
-    ComposedProgram, Executor, ExecutorConfig, Graph, NodeId, PhaseMode, PhaseOutcome, PhaseSpec,
-    RoundLedger, SyncExecutor,
+    ComposedProgram, Executor, ExecutorConfig, Graph, NodeId, PhaseKind, PhaseMode, PhaseOutcome,
+    PhaseSpec, RoundLedger, SyncExecutor,
 };
 use mds_decomposition::coloring::{
     assemble_coloring, bipartite_distance_two_coloring, distance_two_coloring_programs,
@@ -167,20 +167,21 @@ impl MdsResult {
     /// network-decomposition route and for [`central_oracle`] runs, which
     /// color centrally).
     pub fn measured_coloring_rounds(&self) -> u64 {
-        self.phases
-            .iter()
-            .filter(|p| p.mode == PhaseMode::Measured && p.name.contains("Lemma 3.12"))
-            .map(|p| p.rounds)
-            .sum()
+        self.measured_rounds_of(PhaseKind::Coloring)
     }
 
     /// Rounds the measured GK18-carving network decomposition spent on the
     /// engine (`0` on the coloring routes and for [`central_oracle`] runs,
     /// which decompose centrally).
     pub fn measured_netdecomp_rounds(&self) -> u64 {
+        self.measured_rounds_of(PhaseKind::NetDecomp)
+    }
+
+    /// Engine rounds of the measured phases of `kind`.
+    fn measured_rounds_of(&self, kind: PhaseKind) -> u64 {
         self.phases
             .iter()
-            .filter(|p| p.mode == PhaseMode::Measured && p.name.contains("GK18 carving"))
+            .filter(|p| p.mode == PhaseMode::Measured && p.kind == kind)
             .map(|p| p.rounds)
             .sum()
     }
@@ -369,8 +370,11 @@ fn composed_derandomization<E: Executor>(
             );
             let report = composer
                 .measured(
-                    PhaseSpec::named("distance-two coloring (Lemma 3.12, measured)")
-                        .with_formula(formula),
+                    PhaseSpec::new(
+                        PhaseKind::Coloring,
+                        "distance-two coloring (Lemma 3.12, measured)",
+                    )
+                    .with_formula(formula),
                     programs,
                 )
                 .expect("distance-two coloring program is well-formed");
@@ -395,7 +399,9 @@ fn composed_derandomization<E: Executor>(
         }
         _ => derandomization_plan(graph, problem, config, nd_groups, decomposition),
     };
-    composer.absorb(plan.setup);
+    // The grouping's construction cost: a centrally charged coloring on the
+    // empty graph's coloring route, nothing otherwise.
+    composer.absorb(PhaseKind::Coloring, plan.setup);
     let schedule = if plan.parallel {
         DerandSchedule::parallel_groups(&plan.groups, problem)
     } else {
@@ -412,7 +418,10 @@ fn composed_derandomization<E: Executor>(
             },
         );
         composer.charged(
-            PhaseSpec::named(format!("{} (no coins to fix)", plan.name)),
+            PhaseSpec::new(
+                PhaseKind::Derand,
+                format!("{} (no coins to fix)", plan.name),
+            ),
             0,
             plan.messages,
         );
@@ -422,7 +431,8 @@ fn composed_derandomization<E: Executor>(
         .expect("pipeline rounding problems are graph-aligned");
     let report = composer
         .measured(
-            PhaseSpec::named(format!("{} (measured)", plan.name)).with_formula(plan.formula),
+            PhaseSpec::new(PhaseKind::Derand, format!("{} (measured)", plan.name))
+                .with_formula(plan.formula),
             programs,
         )
         .expect("scheduled derandomization program is well-formed");
@@ -589,8 +599,11 @@ pub fn run_on<E: Executor>(graph: &Graph, config: &MdsConfig, executor: &E) -> M
             };
             let report = composer
                 .measured(
-                    PhaseSpec::named("part I: distributed MWU covering LP (measured)")
-                        .with_formula(formula),
+                    PhaseSpec::new(
+                        PhaseKind::Fractional,
+                        "part I: distributed MWU covering LP (measured)",
+                    )
+                    .with_formula(formula),
                     DistributedLpProgram::programs(graph, &cfg),
                 )
                 .expect("distributed MWU program is well-formed");
@@ -602,7 +615,11 @@ pub fn run_on<E: Executor>(graph: &Graph, config: &MdsConfig, executor: &E) -> M
                         )
             );
             let (assignment, _floor) = apply_lemma21_floor(graph, report.outputs, eps1, true);
-            composer.charged(PhaseSpec::named("part I: fractionality floor"), 0, 0);
+            composer.charged(
+                PhaseSpec::new(PhaseKind::Fractional, "part I: fractionality floor"),
+                0,
+                0,
+            );
             (assignment, mds_fractional::lp::dual_lower_bound(graph))
         }
         method => {
@@ -614,7 +631,7 @@ pub fn run_on<E: Executor>(graph: &Graph, config: &MdsConfig, executor: &E) -> M
                     make_transmittable: true,
                 },
             );
-            composer.absorb(initial.ledger.clone());
+            composer.absorb(PhaseKind::Fractional, initial.ledger.clone());
             (initial.assignment, initial.lp_lower_bound)
         }
     };
@@ -636,8 +653,11 @@ pub fn run_on<E: Executor>(graph: &Graph, config: &MdsConfig, executor: &E) -> M
             let charge = formulas::netdecomp_charge_rounds(graph.n(), k);
             let report = composer
                 .measured(
-                    PhaseSpec::named("network decomposition (GK18 carving, measured)")
-                        .with_formula(charge),
+                    PhaseSpec::new(
+                        PhaseKind::NetDecomp,
+                        "network decomposition (GK18 carving, measured)",
+                    )
+                    .with_formula(charge),
                     programs,
                 )
                 .expect("network decomposition program is well-formed");
@@ -811,8 +831,23 @@ pub fn corollary_1_3(graph: &Graph, config: &MdsConfig) -> MdsResult {
 mod tests {
     use super::*;
     use crate::verify::is_dominating_set;
-    use congest_sim::{PhaseMode, PooledExecutor};
+    use congest_sim::{PhaseCost, PhaseMode, PooledExecutor};
     use mds_graphs::generators;
+
+    /// The ledger entries of the measured phases of `kind`. A composed run
+    /// records one ledger entry per phase, so the phase trace and the ledger
+    /// are index-aligned.
+    fn measured_costs(result: &MdsResult, kind: PhaseKind) -> Vec<&PhaseCost> {
+        assert_eq!(result.phases.len(), result.ledger.phases().len());
+        result
+            .phases
+            .iter()
+            .zip(result.ledger.phases())
+            .inspect(|(phase, cost)| assert_eq!(phase.name, cost.name))
+            .filter(|(phase, _)| phase.mode == PhaseMode::Measured && phase.kind == kind)
+            .map(|(_, cost)| cost)
+            .collect()
+    }
 
     fn quick_config() -> MdsConfig {
         MdsConfig::default()
@@ -891,12 +926,7 @@ mod tests {
     fn coloring_route_derandomization_rounds_equal_the_paper_formula() {
         let g = generators::gnp(50, 0.1, 4);
         let result = theorem_1_2(&g, &quick_config());
-        let measured: Vec<_> = result
-            .ledger
-            .phases()
-            .iter()
-            .filter(|p| p.name.contains("coloring (Lemma 3.10) (measured)"))
-            .collect();
+        let measured = measured_costs(&result, PhaseKind::Derand);
         assert!(!measured.is_empty(), "no measured derandomization phase");
         for phase in measured {
             // 2 rounds per color class: measured == Lemma 3.10's O(C) bound
@@ -913,12 +943,7 @@ mod tests {
             ..quick_config()
         };
         let result = run(&g, &config);
-        let coloring_phases: Vec<_> = result
-            .ledger
-            .phases()
-            .iter()
-            .filter(|p| p.name == "distance-two coloring (Lemma 3.12, measured)")
-            .collect();
+        let coloring_phases = measured_costs(&result, PhaseKind::Coloring);
         assert!(
             !coloring_phases.is_empty(),
             "no measured coloring phase on the Theorem 1.2 route"
@@ -949,12 +974,7 @@ mod tests {
     fn netdecomp_phase_is_measured_and_below_the_paper_charge() {
         let g = generators::gnp(50, 0.1, 4);
         let result = theorem_1_1(&g, &quick_config());
-        let nd_phases: Vec<_> = result
-            .ledger
-            .phases()
-            .iter()
-            .filter(|p| p.name == "network decomposition (GK18 carving, measured)")
-            .collect();
+        let nd_phases = measured_costs(&result, PhaseKind::NetDecomp);
         assert_eq!(nd_phases.len(), 1, "exactly one decomposition per run");
         let phase = nd_phases[0];
         assert!(phase.simulated_rounds >= 1);
@@ -987,14 +1007,47 @@ mod tests {
     }
 
     #[test]
+    fn every_measured_phase_carries_its_kind_on_both_executors() {
+        let g = generators::gnp(50, 0.1, 4);
+        let count = |r: &MdsResult, kind| measured_costs(r, kind).len();
+        for result in [
+            theorem_1_1(&g, &quick_config()),
+            theorem_1_1_on(&g, &quick_config(), &PooledExecutor::new(2)),
+        ] {
+            assert_eq!(count(&result, PhaseKind::Fractional), 1);
+            assert_eq!(count(&result, PhaseKind::NetDecomp), 1);
+            assert_eq!(count(&result, PhaseKind::Coloring), 0);
+            assert!(count(&result, PhaseKind::Derand) >= 1);
+        }
+        for result in [
+            theorem_1_2(&g, &quick_config()),
+            theorem_1_2_on(&g, &quick_config(), &PooledExecutor::new(2)),
+        ] {
+            assert_eq!(count(&result, PhaseKind::Fractional), 1);
+            assert_eq!(count(&result, PhaseKind::NetDecomp), 0);
+            assert!(count(&result, PhaseKind::Coloring) >= 1);
+            assert!(count(&result, PhaseKind::Derand) >= 1);
+            // Every measured coin-fixing schedule runs on the color classes
+            // of the coloring measured right before it.
+            let measured: Vec<_> = result
+                .phases
+                .iter()
+                .filter(|p| p.mode == PhaseMode::Measured)
+                .collect();
+            for pair in measured.windows(2) {
+                if pair[1].kind == PhaseKind::Derand {
+                    assert_eq!(pair[0].kind, PhaseKind::Coloring);
+                }
+            }
+        }
+    }
+
+    #[test]
     fn mwu_phase_is_measured_and_below_the_kmw_charge() {
         let g = generators::gnp(50, 0.1, 5);
         let result = theorem_1_2(&g, &quick_config());
-        let mwu = result
-            .ledger
-            .phases()
-            .iter()
-            .find(|p| p.name == "part I: distributed MWU covering LP (measured)")
+        let mwu = *measured_costs(&result, PhaseKind::Fractional)
+            .first()
             .expect("measured MWU phase present");
         assert!(mwu.simulated_rounds > 0);
         // Measured rounds stay below the paper's O(ε⁻⁴ log² Δ) bound.

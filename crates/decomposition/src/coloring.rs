@@ -694,14 +694,16 @@ pub fn distributed_bipartite_coloring_on<E: Executor>(
         .map_err(|e: ExecutionError| e.to_string())?;
     let coloring = assemble_coloring(&report.outputs);
     let mut ledger = RoundLedger::new();
-    report.charge_with_formula(
-        &mut ledger,
+    ledger.record(
         "distance-two coloring (Lemma 3.12, measured)",
-        formulas::bipartite_coloring_rounds(
+        report.rounds,
+        Some(formulas::bipartite_coloring_rounds(
             b.max_left_degree(),
             b.max_right_degree(),
             graph.n().max(2),
-        ),
+        )),
+        report.messages,
+        report.payloads,
     );
     Ok(DistributedColoringOutcome {
         coloring,

@@ -703,10 +703,12 @@ pub fn distributed_decomposition_on<E: Executor>(
         .map_err(|e| e.to_string())?;
     let decomposition = assemble_decomposition(&report.outputs, &schedule);
     let mut ledger = RoundLedger::new();
-    report.charge_with_formula(
-        &mut ledger,
+    ledger.record(
         "network decomposition (GK18 carving, measured)",
-        formulas::netdecomp_charge_rounds(graph.n(), k),
+        report.rounds,
+        Some(formulas::netdecomp_charge_rounds(graph.n(), k)),
+        report.messages,
+        report.payloads,
     );
     Ok(DistributedDecompositionOutcome {
         decomposition,

@@ -380,7 +380,13 @@ pub fn distributed_ruling_set_on<E: Executor>(
     } else {
         formulas::ruling_set_phase_rounds(phases, alpha)
     };
-    report.charge_with_formula(&mut ledger, "ruling set (measured)", formula);
+    ledger.record(
+        "ruling set (measured)",
+        report.rounds,
+        Some(formula),
+        report.messages,
+        report.payloads,
+    );
     Ok(DistributedRulingSet {
         selected,
         alpha,

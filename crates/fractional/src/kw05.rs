@@ -211,10 +211,12 @@ pub fn run_on<E: Executor>(
     let report = executor.run(graph, programs, config)?;
     let assignment = FractionalAssignment::from_values(report.outputs.clone());
     let mut ledger = RoundLedger::new();
-    report.charge_with_formula(
-        &mut ledger,
+    ledger.record(
         "KW05 local fractional solution (measured)",
-        formulas::kw05_rounds(k),
+        report.rounds,
+        Some(formulas::kw05_rounds(k)),
+        report.messages,
+        report.payloads,
     );
     Ok(Kw05Outcome {
         assignment,

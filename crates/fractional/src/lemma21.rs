@@ -157,10 +157,12 @@ pub fn initial_fractional_solution(
             let out = kw05::run(graph, k).expect("KW05 program is well-formed");
             // Measured on the engine; the RunReport feeds the ledger through
             // the unified instrumentation path.
-            out.report.charge_with_formula(
-                &mut ledger,
+            ledger.record(
                 "part I: KW05 local fractional solution (measured)",
-                formulas::kw05_rounds(k),
+                out.report.rounds,
+                Some(formulas::kw05_rounds(k)),
+                out.report.messages,
+                out.report.payloads,
             );
             (
                 out.assignment.values().to_vec(),

@@ -556,10 +556,12 @@ pub fn distributed_solve_on<E: Executor>(
     } else {
         formulas::kmw_fractional_rounds(graph.max_degree(), params.epsilon)
     };
-    report.charge_with_formula(
-        &mut ledger,
+    ledger.record(
         "distributed MWU covering LP (measured)",
-        formula,
+        report.rounds,
+        Some(formula),
+        report.messages,
+        report.payloads,
     );
     Ok(DistributedLpOutcome {
         assignment: FractionalAssignment::from_values(report.outputs.clone()),

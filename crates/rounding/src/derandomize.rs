@@ -846,10 +846,12 @@ pub fn distributed_derandomize_on<E: Executor>(
     } else {
         formulas::derandomization_schedule_rounds(schedule.len() as u64)
     };
-    report.charge_with_formula(
-        &mut ledger,
+    ledger.record(
         "scheduled conditional expectations (measured)",
-        formula,
+        report.rounds,
+        Some(formula),
+        report.messages,
+        report.payloads,
     );
     Ok(DistributedDerandOutcome {
         output,

@@ -13,7 +13,7 @@
 //! Run with `cargo run --example derandomization_anatomy`.
 
 use congest_mds::congest::ledger::formulas;
-use congest_mds::congest::{ComposedProgram, ExecutorConfig, PhaseSpec, SyncExecutor};
+use congest_mds::congest::{ComposedProgram, ExecutorConfig, PhaseKind, PhaseSpec, SyncExecutor};
 use congest_mds::fractional::lemma21::{initial_fractional_solution, InitialSolutionConfig};
 use congest_mds::graphs::generators;
 use congest_mds::mds::pipeline::color_problem;
@@ -93,14 +93,18 @@ fn main() {
     // scheduled conditional expectations as real node programs — two CONGEST
     // rounds per color class.
     let mut composed = ComposedProgram::new(&graph, &SyncExecutor, ExecutorConfig::default());
-    composed.absorb(coloring.ledger.clone());
+    composed.absorb(PhaseKind::Coloring, coloring.ledger.clone());
     let programs = scheduled_derand_programs(&graph, &problem, &schedule, EstimatorKind::default())
         .expect("one-shot problems are graph-aligned");
     let report = composed
         .measured(
-            PhaseSpec::named("derandomization via distance-two coloring (measured)").with_formula(
-                formulas::coloring_derandomization_rounds(coloring.num_colors),
-            ),
+            PhaseSpec::new(
+                PhaseKind::Derand,
+                "derandomization via distance-two coloring (measured)",
+            )
+            .with_formula(formulas::coloring_derandomization_rounds(
+                coloring.num_colors,
+            )),
             programs,
         )
         .expect("scheduled derandomization program is well-formed");

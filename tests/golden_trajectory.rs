@@ -1,5 +1,5 @@
-//! Golden-trajectory regression: the per-stage `CostReport` /
-//! `CompositionReport` of a fixed-seed Theorem 1.1 and Theorem 1.2 run is
+//! Golden-trajectory regression: the `RoundLedger`, the `CompositionReport`
+//! phase trace and the stages of a fixed-seed Theorem 1.1 and Theorem 1.2 run are
 //! serialized field-by-field and compared against the checked-in files under
 //! `tests/golden/`, so future refactors cannot silently change the round
 //! accounting of either route.

@@ -3,10 +3,12 @@
 //! `Δ_L = 0` degenerate bipartite inputs — paths that are validated in the
 //! library but were previously untested end to end.
 
+use congest_mds::congest::compose::measured_rounds;
 use congest_mds::congest::ledger::formulas;
 use congest_mds::congest::{
     ComposedProgram, ExecutionError, Executor, ExecutorConfig, Graph, Inbox, NodeContext,
-    NodeProgram, Outbox, PhaseSpec, PooledExecutor, RoundAction, SyncExecutor,
+    NodeProgram, Outbox, PhaseKind, PhaseMode, PhaseSpec, PooledExecutor, RoundAction,
+    SyncExecutor,
 };
 use congest_mds::decomposition::coloring::{
     bipartite_distance_two_coloring, distance_two_coloring_programs,
@@ -43,7 +45,10 @@ fn composer_rejects_phase_graph_misalignment_and_records_nothing() {
     let mut composed = ComposedProgram::new(&g, &SyncExecutor, ExecutorConfig::default());
     // A phase sized for a different graph: 2 programs for 4 nodes.
     let err = composed
-        .measured(PhaseSpec::named("misaligned"), vec![Noop, Noop])
+        .measured(
+            PhaseSpec::new(PhaseKind::Derand, "misaligned"),
+            vec![Noop, Noop],
+        )
         .unwrap_err();
     assert!(matches!(
         err,
@@ -57,14 +62,14 @@ fn composer_rejects_phase_graph_misalignment_and_records_nothing() {
     assert_eq!(composed.ledger().phases().len(), 0);
     let ok = composed
         .measured(
-            PhaseSpec::named("aligned"),
+            PhaseSpec::new(PhaseKind::Derand, "aligned"),
             (0..4).map(|_| Noop).collect::<Vec<_>>(),
         )
         .unwrap();
     assert_eq!(ok.outputs, vec![0, 1, 2, 3]);
     let report = composed.finish();
     assert_eq!(report.phases.len(), 1);
-    assert_eq!(report.measured_phase_count(), 1);
+    assert_eq!(report.phases[0].mode, PhaseMode::Measured);
 }
 
 #[test]
@@ -73,15 +78,22 @@ fn composer_handles_the_empty_graph() {
     let mut composed = ComposedProgram::new(&g, &SyncExecutor, ExecutorConfig::default());
     // A measured phase over zero nodes is legal and spends zero rounds.
     let report = composed
-        .measured(PhaseSpec::named("empty measured"), Vec::<Noop>::new())
+        .measured(
+            PhaseSpec::new(PhaseKind::Derand, "empty measured"),
+            Vec::<Noop>::new(),
+        )
         .unwrap();
     assert_eq!(report.rounds, 0);
     assert!(report.outputs.is_empty());
     // Charged bookkeeping still accumulates normally.
-    composed.charged(PhaseSpec::named("empty charged").with_formula(3), 1, 0);
+    composed.charged(
+        PhaseSpec::new(PhaseKind::Derand, "empty charged").with_formula(3),
+        1,
+        0,
+    );
     let finished = composed.finish();
     assert_eq!(finished.phases.len(), 2);
-    assert_eq!(finished.measured_rounds(), 0);
+    assert_eq!(measured_rounds(&finished.phases), 0);
     // Zero measured rounds plus the charged formula.
     assert_eq!(finished.ledger.total_formula_rounds(), 3);
 }
@@ -330,7 +342,10 @@ fn misaligned_decomposition_plan_is_rejected_and_records_nothing() {
     let (programs, _) = netdecomp_programs(&generators::path(4), 2, &config);
     let mut composed = ComposedProgram::new(&g, &SyncExecutor, ExecutorConfig::default());
     let err = composed
-        .measured(PhaseSpec::named("misaligned netdecomp"), programs)
+        .measured(
+            PhaseSpec::new(PhaseKind::NetDecomp, "misaligned netdecomp"),
+            programs,
+        )
         .unwrap_err();
     assert!(matches!(
         err,
@@ -342,7 +357,10 @@ fn misaligned_decomposition_plan_is_rejected_and_records_nothing() {
     assert_eq!(composed.ledger().phases().len(), 0);
     let (programs, schedule) = netdecomp_programs(&g, 2, &config);
     let ok = composed
-        .measured(PhaseSpec::named("aligned netdecomp"), programs)
+        .measured(
+            PhaseSpec::new(PhaseKind::NetDecomp, "aligned netdecomp"),
+            programs,
+        )
         .unwrap();
     assert_eq!(ok.rounds, schedule.wave_rounds());
     let report = composed.finish();

@@ -3,8 +3,8 @@
 
 use congest_mds::congest::ledger::formulas;
 use congest_mds::congest::{
-    Executor, ExecutorConfig, Graph, Inbox, NodeContext, NodeId, NodeProgram, Outbox,
-    PooledExecutor, RoundAction, RunReport, SyncExecutor,
+    Executor, ExecutorConfig, Graph, Inbox, NodeContext, NodeId, NodeProgram, Outbox, PhaseCost,
+    PhaseKind, PhaseMode, PooledExecutor, RoundAction, RunReport, SyncExecutor,
 };
 use congest_mds::decomposition::netdecomp::{
     carving_schedule, strong_diameter_decomposition, DecompositionConfig,
@@ -13,7 +13,7 @@ use congest_mds::decomposition::spanner::{derandomized_spanner, verify_spanner};
 use congest_mds::fractional::lp;
 use congest_mds::fractional::FractionalAssignment;
 use congest_mds::graphs::{analysis, generators, square};
-use congest_mds::mds::pipeline::{self, DerandRoute, MdsConfig};
+use congest_mds::mds::pipeline::{self, DerandRoute, MdsConfig, MdsResult};
 use congest_mds::mds::{exact, greedy, verify};
 use congest_mds::rounding::derandomize::{
     derandomize, distributed_derandomize_on, DerandSchedule, DerandomizeConfig,
@@ -44,6 +44,21 @@ fn family_graph_strategy() -> impl Strategy<Value = Graph> {
             _ => generators::grid(1 + n / 8, 1 + p_num as usize % 6),
         },
     )
+}
+
+/// The ledger entries of the measured phases of `kind`. A composed run
+/// records one ledger entry per phase, so the phase trace and the ledger are
+/// index-aligned.
+fn measured_costs(result: &MdsResult, kind: PhaseKind) -> Vec<&PhaseCost> {
+    assert_eq!(result.phases.len(), result.ledger.phases().len());
+    result
+        .phases
+        .iter()
+        .zip(result.ledger.phases())
+        .inspect(|(phase, cost)| assert_eq!(phase.name, cost.name))
+        .filter(|(phase, _)| phase.mode == PhaseMode::Measured && phase.kind == kind)
+        .map(|(_, cost)| cost)
+        .collect()
 }
 
 /// Worker-thread count for the executor-equivalence tests. The proptests
@@ -595,8 +610,6 @@ proptest! {
         seed in 0u64..500,
         threads in 2usize..6,
     ) {
-        use congest_mds::congest::PhaseMode;
-
         let graph = generators::gnp(n, p_num as f64 / 100.0, seed);
         let config = MdsConfig { route: DerandRoute::Coloring, ..MdsConfig::default() };
         let oracle = pipeline::central_oracle(&graph, &config);
@@ -617,12 +630,7 @@ proptest! {
 
         // Every rounding step ran a measured coloring phase whose rounds are
         // exactly the measured formula and at most the Lemma 3.12 charge.
-        let coloring_phases: Vec<_> = sync
-            .ledger
-            .phases()
-            .iter()
-            .filter(|p| p.name == "distance-two coloring (Lemma 3.12, measured)")
-            .collect();
+        let coloring_phases = measured_costs(&sync, PhaseKind::Coloring);
         if n > 0 && !sync.phases.is_empty() {
             for phase in &coloring_phases {
                 prop_assert!(phase.simulated_rounds >= 1);
@@ -672,8 +680,6 @@ proptest! {
         seed in 0u64..500,
         threads in 2usize..6,
     ) {
-        use congest_mds::congest::PhaseMode;
-
         let graph = generators::gnp(n, p_num as f64 / 100.0, seed);
         let config = MdsConfig {
             route: DerandRoute::NetworkDecomposition { k: 2 },
@@ -698,12 +704,7 @@ proptest! {
         // The decomposition ran as exactly one measured phase whose rounds
         // are exactly the carving schedule's wave total and at most the
         // Theorem 3.2 paper charge.
-        let nd_phases: Vec<_> = sync
-            .ledger
-            .phases()
-            .iter()
-            .filter(|p| p.name == "network decomposition (GK18 carving, measured)")
-            .collect();
+        let nd_phases = measured_costs(&sync, PhaseKind::NetDecomp);
         prop_assert_eq!(nd_phases.len(), 1);
         let nd_phase = nd_phases[0];
         let schedule = carving_schedule(&graph, 2, &DecompositionConfig::default());
