@@ -1,11 +1,15 @@
 //! The batched execution engine: drives [`NodeProgram`]s round by round.
 //!
-//! The engine stores in-flight messages in a CSR-indexed, double-buffered
-//! arena: directed edge `(u, v)` owns a fixed slot in a flat `Vec<Option<M>>`,
+//! The engine stores in-flight messages in two double-buffered tables (see
+//! [`ArenaDelivery`]). A per-edge message goes into a CSR-indexed arena:
+//! directed edge `(u, v)` owns a fixed slot in a flat `Vec<Option<M>>`,
 //! located inside receiver `v`'s CSR range at the position of `u` in `v`'s
-//! sorted adjacency list. Sending writes through a precomputed mirror index,
-//! delivery is a buffer swap, and inboxes are zero-copy slices sorted by
-//! sender — the steady-state round loop allocates nothing.
+//! sorted adjacency list, and sending writes through a precomputed mirror
+//! index. A broadcast is stored once, in `u`'s entry of a sender-indexed
+//! table, and each receiver pulls it through its own neighbor list when it
+//! reads its inbox — nothing is written per edge. Delivery is a buffer swap,
+//! and inboxes are zero-copy views sorted by sender — the steady-state round
+//! loop allocates nothing.
 //!
 //! Two deterministic [`Executor`]s drive the loop:
 //!
@@ -29,7 +33,8 @@
 //! A node that returns [`RoundAction::SleepUntil`] leaves its block's
 //! node-ordered active list until its timer is due or a message is
 //! delivered to it. Execute and commit walk only the active list, and the
-//! wake-up scan walks only the slots delivered this round, so a round costs
+//! wake-up scan walks only the slots delivered this round and the block's
+//! share of each broadcaster's neighbor list, so a round costs
 //! `O(active + delivered)` rather than `O(n)`. A block without sleepers
 //! skips the wake-up scan entirely, so all-active programs pay nothing
 //! extra. Which nodes run is a function of the programs' own actions and the
@@ -130,8 +135,8 @@ pub struct RunReport<O> {
     /// counts one *per broadcasting node per round* regardless of degree.
     /// This is the storage/wire-traffic side of the ledger — `messages`
     /// stays the CONGEST charge (`deg(v)` per broadcast), so
-    /// `messages / payloads` is the fan-out factor the broadcast fast path
-    /// avoids materializing.
+    /// `messages / payloads` is the copy factor the broadcast fast path
+    /// never materializes: receivers read the one stored payload.
     pub payloads: u64,
     /// Total bits sent across all messages (saturating).
     pub total_bits: u64,
@@ -299,47 +304,68 @@ impl Executor for SyncExecutor {
     }
 }
 
-/// CSR-indexed, double-buffered per-edge message arena: how committed
-/// `(slot, message)` batches move between rounds.
+/// Double-buffered delivery tables: how committed messages move between
+/// rounds.
 ///
-/// Slot `slot_range(v).start + i` holds the message *received by* `v` from
-/// its `i`-th CSR neighbor; senders write through the [`TopologyCache`]
+/// A per-edge message lives in a CSR-indexed slot arena: slot
+/// `slot_range(v).start + i` holds the message *received by* `v` from its
+/// `i`-th CSR neighbor, and senders write through the [`TopologyCache`]
 /// mirror so the write side is the receiver's inbox range. Every send is
-/// resolved to its destination slot before it reaches the arena, so the arena
-/// only stores, advances and serves slot-indexed batches; it never consults
-/// the graph. The socket backend of `congest_transport` keeps one per process
-/// and queues the peer's decoded batch into it.
+/// resolved to its destination slot before it reaches the arena, so the
+/// arena only stores, advances and serves slot-indexed batches.
+///
+/// A broadcast is stored once, in a sender-indexed table of one entry per
+/// node, and never copied into the slot arena: a receiver's [`Inbox`] reads
+/// neighbor `u`'s message from its own slot or, failing that, from entry
+/// `u` of the table. The two never both hold a message from one sender in
+/// one round, because a broadcasting sender stages nothing else (see
+/// [`Pending`]).
 ///
 /// Within one round, repeated [`ArenaDelivery::queue`] calls for the same
 /// slot keep the *last* message (all writes to one slot come from one sender,
 /// in that sender's send order), and [`ArenaDelivery::advance`] publishes
-/// exactly the queued batch as the next round's [`ArenaDelivery::current`].
+/// exactly the queued messages and broadcasts as the next round's
+/// [`ArenaDelivery::current`] and [`ArenaDelivery::broadcasts`]. The socket
+/// backend of `congest_transport` keeps one per process and queues the
+/// peer's decoded batch and broadcasts into it.
 ///
 /// [`TopologyCache`]: crate::topology::TopologyCache
 pub struct ArenaDelivery<M> {
-    /// Messages delivered this round (read side).
+    /// Per-edge messages delivered this round (read side).
     cur: Vec<Option<M>>,
-    /// Messages queued for the next round (write side).
+    /// Per-edge messages queued for the next round (write side).
     next: Vec<Option<M>>,
     /// Slots occupied on the read side — the ones to clear on the next
-    /// [`ArenaDelivery::advance`], so a sparse round (a few deciders in an
-    /// otherwise idle schedule, the tail of a mostly-halted run) pays for the
-    /// messages it actually carried instead of an `O(m)` full-arena sweep.
+    /// [`ArenaDelivery::advance`], so a round pays for the messages it
+    /// actually carried instead of an `O(m)` full-arena sweep.
     cur_written: Vec<usize>,
     /// Slots written on the write side this round, each listed exactly once
     /// (duplicate sends to one neighbor overwrite in place).
     next_written: Vec<usize>,
+    /// Broadcasts delivered this round, indexed by sender (read side).
+    cur_bcast: Vec<Option<M>>,
+    /// Broadcasts queued for the next round, indexed by sender (write side).
+    next_bcast: Vec<Option<M>>,
+    /// Senders with an entry on the read side, each once, in queue order.
+    cur_senders: Vec<usize>,
+    /// Senders with an entry on the write side, each once, in queue order.
+    next_senders: Vec<usize>,
 }
 
 impl<M> ArenaDelivery<M> {
-    /// An empty arena with one slot per directed edge of `graph`.
+    /// Empty tables: one slot per directed edge of `graph` and one
+    /// broadcast entry per node.
     pub fn new(graph: &Graph) -> Self {
-        let slots = graph.slot_count();
+        let none = |len| std::iter::repeat_with(|| None).take(len).collect();
         ArenaDelivery {
-            cur: std::iter::repeat_with(|| None).take(slots).collect(),
-            next: std::iter::repeat_with(|| None).take(slots).collect(),
+            cur: none(graph.slot_count()),
+            next: none(graph.slot_count()),
             cur_written: Vec::new(),
             next_written: Vec::new(),
+            cur_bcast: none(graph.n()),
+            next_bcast: none(graph.n()),
+            cur_senders: Vec::new(),
+            next_senders: Vec::new(),
         }
     }
 
@@ -356,49 +382,47 @@ impl<M> ArenaDelivery<M> {
         }
     }
 
-    /// Stages one broadcast payload into every slot of `slots` — a sender's
-    /// mirror range. Caller contract: the slots are distinct and none of them
-    /// has been queued this round (each arena slot has exactly one writer,
-    /// and a broadcasting sender stages nothing else — `Outbox::broadcast`
-    /// requires an otherwise empty outbox), so the occupancy check and
-    /// per-slot `push` of [`ArenaDelivery::queue`] collapse into one bulk
-    /// append plus straight stores.
-    pub fn queue_fan(&mut self, slots: &[usize], msg: M)
-    where
-        M: Clone,
-    {
-        debug_assert!(slots.iter().all(|&s| self.next[s].is_none()));
-        self.next_written.extend_from_slice(slots);
-        if let Some((&last, rest)) = slots.split_last() {
-            for &slot in rest {
-                self.next[slot] = Some(msg.clone());
-            }
-            self.next[last] = Some(msg);
+    /// Stages `sender`'s broadcast payload, one copy standing for a message
+    /// to every neighbor, for delivery at the start of the next round.
+    /// Returns `false`, and stages nothing, if `sender` already has a
+    /// broadcast queued this round; the engine never does that, and the
+    /// socket backend reports a peer that does as a protocol error.
+    #[must_use]
+    pub fn queue_broadcast(&mut self, sender: NodeId, msg: M) -> bool {
+        let entry = &mut self.next_bcast[sender.0];
+        if entry.is_some() {
+            return false;
         }
+        *entry = Some(msg);
+        self.next_senders.push(sender.0);
+        true
     }
 
-    /// Ends the round: queued messages become current and the write side is
-    /// emptied, clearing only the slots that were actually occupied (no
-    /// allocation).
+    /// Whether `sender` has a broadcast queued for the next round.
+    pub fn broadcast_queued(&self, sender: NodeId) -> bool {
+        self.next_bcast[sender.0].is_some()
+    }
+
+    /// Ends the round: queued messages and broadcasts become current and
+    /// the write side is emptied, clearing only the slots and senders that
+    /// were actually occupied (no allocation).
     pub fn advance(&mut self) {
-        // Broadcast-heavy rounds occupy most of the arena; above a quarter
-        // occupancy a linear sweep beats scattering through the written list
-        // in mirror order.
-        if self.cur_written.len() >= self.cur.len() / 4 {
-            for slot in self.cur.iter_mut() {
-                *slot = None;
-            }
-        } else {
-            for &slot in &self.cur_written {
-                self.cur[slot] = None;
-            }
+        for &slot in &self.cur_written {
+            self.cur[slot] = None;
         }
         self.cur_written.clear();
+        for &sender in &self.cur_senders {
+            self.cur_bcast[sender] = None;
+        }
+        self.cur_senders.clear();
         std::mem::swap(&mut self.cur, &mut self.next);
         std::mem::swap(&mut self.cur_written, &mut self.next_written);
+        std::mem::swap(&mut self.cur_bcast, &mut self.next_bcast);
+        std::mem::swap(&mut self.cur_senders, &mut self.next_senders);
     }
 
-    /// The messages delivered for the current round, indexed by arena slot.
+    /// The per-edge messages delivered for the current round, indexed by
+    /// arena slot.
     pub fn current(&self) -> &[Option<M>] {
         &self.cur
     }
@@ -407,6 +431,17 @@ impl<M> ArenaDelivery<M> {
     /// queue order: what a [`WakeState`] scans for sleeping receivers.
     pub fn delivered(&self) -> &[usize] {
         &self.cur_written
+    }
+
+    /// The broadcasts delivered for the current round, indexed by sender.
+    pub fn broadcasts(&self) -> &[Option<M>] {
+        &self.cur_bcast
+    }
+
+    /// The senders with an entry in [`ArenaDelivery::broadcasts`], each
+    /// once, in queue order: a [`WakeState`] walks their neighbor lists.
+    pub fn broadcasters(&self) -> &[usize] {
+        &self.cur_senders
     }
 }
 
@@ -491,8 +526,8 @@ impl WakeState {
 
     /// Makes the active list of `round`: last round's stayers, merged with
     /// the sleepers whose timer is due and those that receive one of the
-    /// `delivered` slots.
-    fn prepare(&mut self, graph: &Graph, round: u64, delivered: &[usize]) {
+    /// `delivered` slots or a neighbor's broadcast from `broadcasters`.
+    fn prepare(&mut self, graph: &Graph, round: u64, delivered: &[usize], broadcasters: &[usize]) {
         std::mem::swap(&mut self.active, &mut self.next);
         self.next.clear();
         if self.sleepers == 0 {
@@ -514,6 +549,22 @@ impl WakeState {
             for &s in delivered {
                 if self.slots.contains(&s) {
                     let i = (graph.slot_neighbor(mirror[s]).0 - self.first) as u32;
+                    if self.wake[i as usize] > HALTED {
+                        self.rouse(i);
+                    }
+                }
+            }
+            // A broadcast reaches every neighbor; neighbor lists are sorted,
+            // so the block's share of each is one contiguous run.
+            let block = self.first..self.first + self.wake.len();
+            for &u in broadcasters {
+                let neighbors = graph.neighbors(NodeId(u));
+                let lo = neighbors.partition_point(|v| v.0 < block.start);
+                for v in &neighbors[lo..] {
+                    if v.0 >= block.end {
+                        break;
+                    }
+                    let i = (v.0 - self.first) as u32;
                     if self.wake[i as usize] > HALTED {
                         self.rouse(i);
                     }
@@ -629,18 +680,16 @@ impl Accounting {
 
 /// One committed unit handed to a [`commit_round`] sink: either a single
 /// per-edge message already resolved to its destination arena slot, or a
-/// broadcast payload the sink fans out itself through the sender's mirror
-/// range (the storage/wire fast path — the CONGEST charge for all `deg`
-/// copies has already been applied by the time the sink sees it).
+/// broadcast payload the sink stores once for its sender (the storage/wire
+/// fast path — the CONGEST charge for all `deg` copies has already been
+/// applied by the time the sink sees it).
 #[derive(Debug)]
 pub enum Committed<M> {
     /// One message for one destination arena slot.
     Edge(usize, M),
-    /// One broadcast payload standing for a copy to every neighbor; the
-    /// receiver of this variant resolves the fan-out through the sender's
-    /// slice of the [`TopologyCache`] mirror table.
-    ///
-    /// [`TopologyCache`]: crate::topology::TopologyCache
+    /// One broadcast payload standing for a copy to every neighbor; sinks
+    /// store it as the sender's [`ArenaDelivery::queue_broadcast`] entry,
+    /// which each neighbor's [`Inbox`] reads through its own neighbor list.
     Fan(M),
 }
 
@@ -743,9 +792,10 @@ fn drain_outbox<M: MessageSize>(
 /// every backend's round.
 ///
 /// Builds the round's active list in `wake` from `arena`'s delivered slots
-/// (see [`WakeState`]), then runs `init` (round `0`) or `round` for exactly
-/// those nodes, staging their sends into `pending`/`invalid` for
-/// [`commit_round`] and recording each node's [`RoundAction`] in `wake`.
+/// and broadcasters (see [`WakeState`]), then runs `init` (round `0`) or
+/// `round` for exactly those nodes, staging their sends into
+/// `pending`/`invalid` for [`commit_round`] and recording each node's
+/// [`RoundAction`] in `wake`.
 /// The other tables are the block's slices of the node-indexed tables, and
 /// a halting node's output lands in `outputs`.
 ///
@@ -763,9 +813,21 @@ pub fn execute_block<P: NodeProgram>(
     invalid: &mut [Option<NodeId>],
 ) -> Executed {
     if round > 0 {
-        wake.prepare(graph, round, arena.delivered());
+        wake.prepare(graph, round, arena.delivered(), arena.broadcasters());
     }
-    let cur = arena.current();
+    // An empty source is handed on as an empty slice, so a round of only
+    // broadcasts never reads the slot arena and a round without broadcasts
+    // never reads the table.
+    let slots = if arena.delivered().is_empty() {
+        &[]
+    } else {
+        arena.current()
+    };
+    let bcast = if arena.broadcasters().is_empty() {
+        &[]
+    } else {
+        arena.broadcasts()
+    };
     let WakeState {
         first,
         wake: state,
@@ -788,7 +850,12 @@ pub fn execute_block<P: NodeProgram>(
             next.push(i);
             continue;
         }
-        let inbox = Inbox::over(graph.neighbors(id), &cur[graph.slot_range(id)]);
+        let own = if slots.is_empty() {
+            &[]
+        } else {
+            &slots[graph.slot_range(id)]
+        };
+        let inbox = Inbox::over(graph.neighbors(id), own, bcast);
         match programs[k].round(&ctx, &inbox, &mut outbox) {
             RoundAction::Continue => next.push(i),
             RoundAction::SleepUntil(at) if at <= round + 1 => next.push(i),
@@ -858,18 +925,19 @@ pub fn commit_round<M: MessageSize>(
     Ok(())
 }
 
-/// The [`commit_round`] sink of the in-process executors: queues every unit
-/// into `delivery`, fanning a broadcast out through its sender's mirror range
-/// (the same slots and values the materialized per-edge copies would have
-/// produced).
-pub(crate) fn arena_sink<'a, M: Clone>(
-    graph: &'a Graph,
-    delivery: &'a mut ArenaDelivery<M>,
-) -> impl FnMut(NodeId, Committed<M>) + 'a {
-    let mirror = &graph.topology().mirror;
+/// The [`commit_round`] sink of the in-process executors: queues a per-edge
+/// message into its arena slot and a broadcast as its sender's one table
+/// entry, which every neighbor's [`Inbox`] reads the same value from that
+/// the materialized per-edge copies would have carried.
+pub(crate) fn arena_sink<M>(
+    delivery: &mut ArenaDelivery<M>,
+) -> impl FnMut(NodeId, Committed<M>) + '_ {
     move |from, unit| match unit {
         Committed::Edge(slot, msg) => delivery.queue(slot, msg),
-        Committed::Fan(msg) => delivery.queue_fan(&mirror[graph.slot_range(from)], msg),
+        Committed::Fan(msg) => {
+            let fresh = delivery.queue_broadcast(from, msg);
+            debug_assert!(fresh, "one broadcast per sender per round");
+        }
     }
 }
 
@@ -1027,7 +1095,7 @@ pub(crate) fn run_engine<P: NodeProgram>(
             acct,
             bandwidth,
             config.enforce_bandwidth,
-            arena_sink(graph, &mut delivery),
+            arena_sink(&mut delivery),
         )?;
         delivery.advance();
         Ok(executed)

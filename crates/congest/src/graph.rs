@@ -178,8 +178,9 @@ impl Graph {
     }
 
     /// The neighbor stored at CSR slot `slot`: the sender of the messages
-    /// delivered into that arena slot.
-    pub(crate) fn slot_neighbor(&self, slot: usize) -> NodeId {
+    /// delivered into that arena slot. Part of the engine SPI, like
+    /// [`Graph::slot_range`].
+    pub fn slot_neighbor(&self, slot: usize) -> NodeId {
         self.neighbors[slot]
     }
 

@@ -271,7 +271,7 @@ where
                         acct,
                         bandwidth,
                         config.enforce_bandwidth,
-                        arena_sink(graph, &mut arena),
+                        arena_sink(&mut arena),
                     )?;
                 }
                 arena.advance();

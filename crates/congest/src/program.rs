@@ -48,32 +48,54 @@ impl<'a> NodeContext<'a> {
 
 /// Messages received by a node at the start of a round, tagged by sender.
 ///
-/// An inbox is a zero-copy view into the engine's per-edge message arena:
-/// slot `i` corresponds to the node's `i`-th CSR neighbor, so the senders are
-/// sorted and [`Inbox::from`] is an `O(log deg)` binary search (at most one
-/// message per neighbor per round — the CONGEST contract).
+/// An inbox is a zero-copy view over the engine's two delivery tables.
+/// Neighbor slot `i` — the node's `i`-th CSR neighbor `u` — holds `u`'s
+/// per-edge message from the node's range of the slot arena, or else `u`'s
+/// broadcast from the sender-indexed broadcast table. At most one of the two
+/// is present, since a broadcasting node sends nothing else in its round
+/// (see [`Pending`]). Senders come out sorted, and [`Inbox::from`] is an
+/// `O(log deg)` binary search (at most one message per neighbor per round —
+/// the CONGEST contract).
 #[derive(Debug, Clone, Copy)]
 pub struct Inbox<'a, M> {
     senders: &'a [NodeId],
+    /// The node's arena range, one entry per sender; empty when no per-edge
+    /// message was delivered this round.
     slots: &'a [Option<M>],
+    /// Broadcasts indexed by sender id; empty when nobody broadcast.
+    bcast: &'a [Option<M>],
 }
 
 impl<'a, M> Inbox<'a, M> {
-    /// Builds the view over a node's (sorted) neighbor slice and the matching
-    /// arena slots. Part of the engine SPI: executors (including external
-    /// transport backends) construct inboxes from their delivered-message
-    /// arenas; programs only ever consume them.
-    pub fn over(senders: &'a [NodeId], slots: &'a [Option<M>]) -> Self {
-        debug_assert_eq!(senders.len(), slots.len());
-        Inbox { senders, slots }
+    /// Builds the view over a node's (sorted) neighbor slice, its arena
+    /// slots and the broadcast table. Part of the engine SPI: executors
+    /// (including external transport backends) construct inboxes from their
+    /// delivery tables; programs only ever consume them.
+    ///
+    /// `slots` is either empty or one entry per sender; `bcast` is either
+    /// empty or indexed by node id and covers every sender.
+    pub fn over(senders: &'a [NodeId], slots: &'a [Option<M>], bcast: &'a [Option<M>]) -> Self {
+        debug_assert!(slots.is_empty() || slots.len() == senders.len());
+        debug_assert!(bcast.is_empty() || senders.iter().all(|s| s.0 < bcast.len()));
+        Inbox {
+            senders,
+            slots,
+            bcast,
+        }
+    }
+
+    /// The message in neighbor slot `i`, whose sender is `sender`.
+    #[inline]
+    fn slot(&self, i: usize, sender: NodeId) -> Option<&'a M> {
+        match self.slots.get(i) {
+            Some(Some(m)) => Some(m),
+            _ => self.bcast.get(sender.0)?.as_ref(),
+        }
     }
 
     /// Iterates over `(sender, message)` pairs, in increasing sender order.
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, &'a M)> + '_ {
-        self.senders
-            .iter()
-            .zip(self.slots.iter())
-            .filter_map(|(&s, m)| m.as_ref().map(|m| (s, m)))
+        self.iter_slots().filter_map(|(s, m)| m.map(|m| (s, m)))
     }
 
     /// Iterates over every neighbor slot — `(neighbor, received message)` —
@@ -83,21 +105,19 @@ impl<'a, M> Inbox<'a, M> {
     pub fn iter_slots(&self) -> impl Iterator<Item = (NodeId, Option<&'a M>)> + '_ {
         self.senders
             .iter()
-            .zip(self.slots.iter())
-            .map(|(&s, m)| (s, m.as_ref()))
+            .enumerate()
+            .map(|(i, &s)| (s, self.slot(i, s)))
     }
 
     /// The message received from `sender`, if any. `O(log deg)`.
     pub fn from(&self, sender: NodeId) -> Option<&'a M> {
         let idx = self.senders.binary_search(&sender).ok()?;
-        self.slots[idx].as_ref()
+        self.slot(idx, sender)
     }
 
-    /// Number of messages received this round (`O(deg)`, branchless: a
-    /// straight sum over occupancy bits instead of a predicated count, so the
-    /// scan vectorizes and never mispredicts on mixed inboxes).
+    /// Number of messages received this round (`O(deg)`).
     pub fn len(&self) -> usize {
-        self.slots.iter().map(|m| usize::from(m.is_some())).sum()
+        self.iter_slots().filter(|(_, m)| m.is_some()).count()
     }
 
     /// Whether no messages were received this round.
@@ -132,14 +152,17 @@ pub const INVALID_SLOT: u32 = u32::MAX;
 
 /// A node's staged output for one round: the per-edge send list plus an
 /// optional *pending broadcast* — one stored payload that stands for a copy
-/// to every neighbor, fanned out at delivery time through the cached mirror
-/// table instead of being materialized `deg` times here.
+/// to every neighbor. The engine delivers it as the sender's one entry in
+/// its broadcast table, which every neighbor's [`Inbox`] reads; it is never
+/// materialized `deg` times, neither here nor at delivery.
 ///
 /// Invariant: `broadcast.is_some()` implies `sends.is_empty()`. The fast
 /// path only engages for a lone [`Outbox::broadcast`] on an otherwise empty
 /// outbox; any subsequent call (a second broadcast, or an explicit send)
 /// first materializes the stored payload into per-edge sends, so the commit
 /// order the sequential engine would have observed is preserved exactly.
+/// The invariant is also what lets an [`Inbox`] read each neighbor from
+/// either its arena slot or the broadcast table: never both hold a message.
 #[derive(Debug)]
 pub struct Pending<M> {
     pub(crate) sends: Vec<OutMsg<M>>,
@@ -179,10 +202,10 @@ impl<M> Default for Pending<M> {
 ///
 /// The [`Pending`] buffer behind an outbox is owned by the engine and reused
 /// across rounds, so the steady-state round loop performs no allocation.
-/// A lone [`Outbox::broadcast`] stores *one* payload (fanned out at delivery
-/// time); mixed with explicit sends it falls back to enumerating the CSR
-/// neighbor list directly, so broadcast messages carry their delivery slot
-/// for free. Explicit [`Outbox::send`]s resolve the slot with one
+/// A lone [`Outbox::broadcast`] stores *one* payload, which receivers read
+/// from the sender's broadcast-table entry; mixed with explicit sends it
+/// falls back to enumerating the CSR neighbor list directly, so broadcast
+/// messages carry their delivery slot for free. Explicit [`Outbox::send`]s resolve the slot with one
 /// `O(log deg)` search. Sending twice to the same neighbor in one round is
 /// allowed; the engine keeps the *last* message (one message per edge per
 /// round, as CONGEST prescribes).
@@ -250,9 +273,9 @@ impl<'a, M> Outbox<'a, M> {
     }
 
     /// Queues a copy of `message` to every neighbor. On an otherwise empty
-    /// outbox this stores the payload *once*; the engine fans it out at
-    /// delivery time (charging `deg` messages against the CONGEST budget all
-    /// the same). On an isolated node (degree 0) this is a complete no-op.
+    /// outbox this stores the payload *once*, and every neighbor reads that
+    /// one copy (the engine charges `deg` messages against the CONGEST budget
+    /// all the same). On an isolated node (degree 0) this is a complete no-op.
     pub fn broadcast(&mut self, message: M)
     where
         M: Clone,
@@ -354,7 +377,7 @@ mod tests {
     fn inbox_lookup_by_sender_is_binary_search_over_sorted_senders() {
         let senders = [NodeId(1), NodeId(3), NodeId(7)];
         let slots = [None, Some(42usize), Some(7)];
-        let inbox = Inbox::over(&senders, &slots);
+        let inbox = Inbox::over(&senders, &slots, &[]);
         assert_eq!(inbox.from(NodeId(3)), Some(&42));
         assert_eq!(inbox.from(NodeId(7)), Some(&7));
         assert_eq!(inbox.from(NodeId(1)), None, "neighbor that sent nothing");
@@ -367,8 +390,54 @@ mod tests {
     }
 
     #[test]
+    fn inbox_reads_slots_and_broadcasts_in_sender_order() {
+        let senders = [NodeId(1), NodeId(3), NodeId(7), NodeId(9)];
+        // Node 3 sent per edge; nodes 1, 7 and 5 (not a neighbor) broadcast;
+        // node 9 sent nothing.
+        let slots = [None, Some(30usize), None, None];
+        let mut bcast = vec![None; 10];
+        for (v, m) in [(1, 10), (5, 50), (7, 70)] {
+            bcast[v] = Some(m);
+        }
+        let inbox = Inbox::over(&senders, &slots, &bcast);
+        let collected: Vec<_> = inbox.iter().map(|(s, &m)| (s, m)).collect();
+        assert_eq!(
+            collected,
+            vec![(NodeId(1), 10), (NodeId(3), 30), (NodeId(7), 70)]
+        );
+        let all: Vec<_> = inbox.iter_slots().map(|(s, m)| (s, m.copied())).collect();
+        assert_eq!(
+            all,
+            vec![
+                (NodeId(1), Some(10)),
+                (NodeId(3), Some(30)),
+                (NodeId(7), Some(70)),
+                (NodeId(9), None)
+            ]
+        );
+        assert_eq!(inbox.from(NodeId(1)), Some(&10));
+        assert_eq!(inbox.from(NodeId(3)), Some(&30));
+        assert_eq!(inbox.from(NodeId(9)), None, "neighbor that sent nothing");
+        assert_eq!(inbox.from(NodeId(5)), None, "broadcast of a non-neighbor");
+        assert_eq!(inbox.len(), 3);
+
+        // Either source alone, the other handed over as an empty slice.
+        let only_bcast = Inbox::over(&senders, &[], &bcast);
+        let collected: Vec<_> = only_bcast.iter().map(|(s, &m)| (s, m)).collect();
+        assert_eq!(collected, vec![(NodeId(1), 10), (NodeId(7), 70)]);
+        assert_eq!(only_bcast.from(NodeId(7)), Some(&70));
+        assert_eq!(only_bcast.len(), 2);
+        let only_slots = Inbox::over(&senders, &slots, &[]);
+        assert_eq!(only_slots.iter().count(), 1);
+        assert_eq!(only_slots.from(NodeId(1)), None);
+        assert_eq!(only_slots.from(NodeId(3)), Some(&30));
+        assert_eq!(only_slots.len(), 1);
+        assert_eq!(only_slots.iter_slots().count(), 4);
+    }
+
+    #[test]
     fn empty_inbox() {
-        let inbox: Inbox<'_, u32> = Inbox::over(&[], &[]);
+        let inbox: Inbox<'_, u32> = Inbox::over(&[], &[], &[]);
         assert!(inbox.is_empty());
         assert_eq!(inbox.len(), 0);
         assert_eq!(inbox.from(NodeId(0)), None);

@@ -137,9 +137,10 @@ pub struct RoundPayload<M, O> {
     /// node/send order — destination slots all belong to the receiver.
     pub batch: Vec<(usize, M)>,
     /// Cross-shard broadcasts: one `(sender node, payload)` entry per
-    /// broadcasting node in sender node order. The receiver fans each entry
-    /// out over the sender's mirror targets that fall in its own slot block,
-    /// so the wire carries one copy instead of `deg(sender)`.
+    /// broadcasting node with a neighbor in the receiver's block, in sender
+    /// node order. The receiver stores each entry once as the sender's
+    /// broadcast-table entry, so the wire carries one copy instead of
+    /// `deg(sender)`; a second entry for one sender is a protocol error.
     pub bcast: Vec<(usize, M)>,
 }
 

@@ -8,11 +8,12 @@
 //! `[0, split)`, the **follower** owns `[split, n)`, with
 //! `split = ceil(n / 2)`. Every round is the engine's own round:
 //! [`execute_block`] over the local block, then [`commit_round`] with a sink
-//! that queues messages for the local arena slots and stages the rest for
-//! the peer — a per-edge message as a `(slot, message)` entry, a broadcast
-//! as one `(sender, payload)` entry, which the peer fans out over the
-//! sender's mirror targets it owns. Each side then ships the peer a single
-//! checksummed frame (see [`crate::frame`]) carrying everything the peer
+//! that queues messages for the local arena slots and every broadcast into
+//! the local broadcast table, and stages for the peer what its nodes
+//! receive — a per-edge message as a `(slot, message)` entry, a broadcast
+//! with a neighbor across the split as one `(sender, payload)` entry, which
+//! the peer stores once in its own table. Each side then ships the peer a
+//! single checksummed frame (see [`crate::frame`]) carrying everything the peer
 //! cannot compute locally: those staged entries, its accounting sub-totals,
 //! how many of its nodes ran, its newly-halted nodes' outputs and its first
 //! error ([`RoundPayload`]). Each side keeps one [`WakeState`] for its
@@ -34,7 +35,8 @@
 //! mode on the wire — truncation, corruption (checksum), version or
 //! topology skew (handshake), round desync, a peer that vanished, a stalled
 //! peer (timeout), a peer payload that names nodes or slots the peer does
-//! not own — surfaces as a typed [`TransportError`] from
+//! not own or sends one node's broadcast twice or next to its per-edge
+//! messages — surfaces as a typed [`TransportError`] from
 //! [`SocketSession::run_program`], never a panic. Program misbehavior
 //! (non-neighbor send, enforced bandwidth overrun) ends the run with the
 //! lowest shard's error, and the round limit is the round loop's own check,
@@ -419,26 +421,34 @@ fn exchange<P: NodeProgram>(
         }
         outputs[v] = Some(output);
     }
-    for (slot, msg) in peer.batch {
-        if slot >= shard.graph.slot_count() || !shard.owns_slot(slot) {
-            return Err(TransportError::Protocol(format!(
-                "peer delivered to slot {slot} outside this shard"
-            )));
-        }
-        delivery.queue(slot, msg);
-    }
-    let mirror = &shard.graph.topology().mirror;
     for (sender, msg) in peer.bcast {
         if !shard.peer_owns_node(sender) {
             return Err(TransportError::Protocol(format!(
                 "peer broadcast from node {sender} it does not own"
             )));
         }
-        for &slot in &mirror[shard.graph.slot_range(NodeId(sender))] {
-            if shard.owns_slot(slot) {
-                delivery.queue(slot, msg.clone());
-            }
+        if !delivery.queue_broadcast(NodeId(sender), msg) {
+            return Err(TransportError::Protocol(format!(
+                "peer broadcast twice from node {sender} in one round"
+            )));
         }
+    }
+    // Broadcasts first, so a per-edge message from a node that also
+    // broadcast is caught: an inbox holds at most one message per sender.
+    for (slot, msg) in peer.batch {
+        if slot >= shard.graph.slot_count() || !shard.owns_slot(slot) {
+            return Err(TransportError::Protocol(format!(
+                "peer delivered to slot {slot} outside this shard"
+            )));
+        }
+        let sender = shard.graph.slot_neighbor(slot);
+        if !shard.peer_owns_node(sender.0) || delivery.broadcast_queued(sender) {
+            return Err(TransportError::Protocol(format!(
+                "peer delivered to slot {slot} a message node {} cannot send",
+                sender.0
+            )));
+        }
+        delivery.queue(slot, msg);
     }
     let executed = Executed {
         active: peer.active,
@@ -563,7 +573,6 @@ fn run_session<P: NodeProgram>(
         batch: Vec::new(),
         bcast: Vec::new(),
     };
-    let mirror = &graph.topology().mirror;
 
     rounds.run(|round, acct| -> Result<Executed, TransportError> {
         let mine = execute_block(
@@ -583,8 +592,9 @@ fn run_session<P: NodeProgram>(
                 }
             }
         }
-        // Own slots go straight into the arena; the rest is staged for the
-        // peer, a broadcast as one `(sender, payload)` entry.
+        // Own slots and every broadcast go straight into the arena; the
+        // rest is staged for the peer, a broadcast with a neighbor there as
+        // one `(sender, payload)` entry.
         out.round = round;
         out.active = mine.active;
         out.acct = Accounting::default();
@@ -605,17 +615,16 @@ fn run_session<P: NodeProgram>(
                     }
                 }
                 Committed::Fan(msg) => {
-                    let mut cross = false;
-                    for &slot in &mirror[graph.slot_range(from)] {
-                        if shard.owns_slot(slot) {
-                            delivery.queue(slot, msg.clone());
-                        } else {
-                            cross = true;
-                        }
-                    }
+                    // Neighbor lists are sorted: only the ends can lie
+                    // outside the block.
+                    let neighbors = graph.neighbors(from);
+                    let cross = neighbors.first().is_some_and(|v| v.0 < lo)
+                        || neighbors.last().is_some_and(|v| v.0 >= hi);
                     if cross {
-                        out.bcast.push((from.0, msg));
+                        out.bcast.push((from.0, msg.clone()));
                     }
+                    let fresh = delivery.queue_broadcast(from, msg);
+                    debug_assert!(fresh, "one broadcast per sender per round");
                 }
             },
         )
@@ -1090,7 +1099,8 @@ mod tests {
     /// a typed protocol error, not a panic or a hang.
     #[test]
     fn peer_payload_breaking_an_exchange_rule_is_a_protocol_error() {
-        // On a 4-path the leader owns nodes 0 and 1 and arena slots 0..3.
+        // On a 4-path the leader owns nodes 0 and 1 and arena slots 0..3;
+        // slot 1 is node 1's from node 0, slot 2 node 1's from node 2.
         let g = path_graph(4);
         let config = ExecutorConfig::default();
         let empty = || RoundPayload::<NodeId, usize> {
@@ -1135,6 +1145,28 @@ mod tests {
                 "broadcast from a leader node",
                 RoundPayload {
                     bcast: vec![(1, NodeId(1))],
+                    ..empty()
+                },
+            ),
+            (
+                "two broadcasts from one node",
+                RoundPayload {
+                    bcast: vec![(2, NodeId(2)), (2, NodeId(0))],
+                    ..empty()
+                },
+            ),
+            (
+                "per-edge message from a node that broadcast",
+                RoundPayload {
+                    batch: vec![(2, NodeId(2))],
+                    bcast: vec![(2, NodeId(2))],
+                    ..empty()
+                },
+            ),
+            (
+                "per-edge message from a leader node",
+                RoundPayload {
+                    batch: vec![(1, NodeId(0))],
                     ..empty()
                 },
             ),

@@ -147,10 +147,99 @@ fn sends_programs(n: usize, depth: u64) -> Vec<StaggeredFloodSends> {
         .collect()
 }
 
+/// Mixed-round workload: in every round node `v` takes one of three send
+/// shapes, chosen by `(v + round) % 3` — a lone broadcast, one send per
+/// neighbor, or a broadcast followed by a send to its first neighbor, which
+/// materializes the broadcast. So one round carries broadcasts and per-edge
+/// messages side by side. Each node folds what it receives — through
+/// `iter`, `iter_slots`, `from` and `len` — into an order-sensitive digest,
+/// its output. With `per_edge`, every broadcast is written as one send per
+/// neighbor instead: the all-per-edge twin.
+struct MixedRounds {
+    best: u64,
+    digest: u64,
+    depth: u64,
+    per_edge: bool,
+}
+
+impl MixedRounds {
+    fn emit(&self, ctx: &NodeContext<'_>, outbox: &mut Outbox<'_, u64>) {
+        let to_all = |outbox: &mut Outbox<'_, u64>, msg: u64| {
+            if self.per_edge {
+                for &to in ctx.neighbors() {
+                    outbox.send(to, msg);
+                }
+            } else {
+                outbox.broadcast(msg);
+            }
+        };
+        match (ctx.id.0 as u64 + ctx.round) % 3 {
+            0 => to_all(outbox, self.best),
+            1 => {
+                for &to in ctx.neighbors() {
+                    outbox.send(to, self.best);
+                }
+            }
+            _ => {
+                to_all(outbox, self.best);
+                if let Some(&to) = ctx.neighbors().first() {
+                    outbox.send(to, self.digest);
+                }
+            }
+        }
+    }
+}
+
+impl NodeProgram for MixedRounds {
+    type Message = u64;
+    type Output = u64;
+
+    fn init(&mut self, ctx: &NodeContext<'_>, outbox: &mut Outbox<'_, u64>) {
+        self.best = ctx.id.0 as u64;
+        self.emit(ctx, outbox);
+    }
+
+    fn round(
+        &mut self,
+        ctx: &NodeContext<'_>,
+        inbox: &Inbox<'_, u64>,
+        outbox: &mut Outbox<'_, u64>,
+    ) -> RoundAction<u64> {
+        let fold = |d: u64, x: u64| d.wrapping_mul(0x100_0000_01b3) ^ x;
+        for (s, m) in inbox.iter_slots() {
+            self.digest = fold(self.digest, s.0 as u64);
+            self.digest = fold(self.digest, m.copied().unwrap_or(u64::MAX));
+        }
+        for (_, &m) in inbox.iter() {
+            self.best = self.best.min(m);
+        }
+        self.digest = fold(self.digest, inbox.len() as u64);
+        if let Some(&m) = ctx.neighbors().last().and_then(|&u| inbox.from(u)) {
+            self.digest = fold(self.digest, m);
+        }
+        if ctx.round >= self.depth + ctx.id.0 as u64 % 3 {
+            return RoundAction::Halt(self.digest);
+        }
+        self.emit(ctx, outbox);
+        RoundAction::Continue
+    }
+}
+
+fn mixed_programs(n: usize, depth: u64, per_edge: bool) -> Vec<MixedRounds> {
+    (0..n)
+        .map(|_| MixedRounds {
+            best: 0,
+            digest: 0,
+            depth,
+            per_edge,
+        })
+        .collect()
+}
+
 /// Asserts two reports agree on everything except `payloads`, then pins the
 /// payload relation itself: the send twin stores one payload per charged
 /// message, the broadcast twin at most that.
-fn assert_twins_agree(bcast: &RunReport<usize>, sends: &RunReport<usize>) {
+fn assert_twins_agree<O: PartialEq + std::fmt::Debug>(bcast: &RunReport<O>, sends: &RunReport<O>) {
     prop_assert_eq!(&bcast.outputs, &sends.outputs);
     prop_assert_eq!(bcast.rounds, sends.rounds);
     prop_assert_eq!(bcast.messages, sends.messages);
@@ -312,6 +401,33 @@ fn socket_broadcast_and_send_twins_agree_over_loopback() {
     }
     for report in socket_run_both(&graph, || sends_programs(graph.n(), 4), &config) {
         assert_eq!(sends, report);
+    }
+}
+
+proptest! {
+    // Two TCP sessions per case; the families still rotate across cases.
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    // Rounds mixing broadcasts, per-edge sends and materialized broadcasts
+    // over a real loopback socket: both endpoints reproduce the sync report
+    // of the mixed program and of its all-per-edge twin, and the two agree
+    // on everything but `payloads`.
+    #[test]
+    fn socket_mixed_rounds_and_their_per_edge_twin_agree_over_loopback(
+        graph in family_graph_strategy(),
+        depth in 1u64..6,
+    ) {
+        let config = ExecutorConfig::default();
+        let n = graph.n();
+        let mixed = SyncExecutor.run(&graph, mixed_programs(n, depth, false), &config).unwrap();
+        let twin = SyncExecutor.run(&graph, mixed_programs(n, depth, true), &config).unwrap();
+        assert_twins_agree(&mixed, &twin);
+        for report in socket_run_both(&graph, || mixed_programs(n, depth, false), &config) {
+            prop_assert_eq!(&mixed, &report, "mixed program");
+        }
+        for report in socket_run_both(&graph, || mixed_programs(n, depth, true), &config) {
+            prop_assert_eq!(&twin, &report, "per-edge twin");
+        }
     }
 }
 

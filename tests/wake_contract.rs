@@ -1,12 +1,12 @@
 //! The `RoundAction::SleepUntil` wake contract, on every backend.
 //!
-//! * Edge cases of the engine's wake state — a message wakes a sleeper in
-//!   the round it is delivered, a timer wakes it in exactly its round, a
-//!   sleep that ends next round is a `Continue`, a sleeper nothing wakes runs
-//!   into the round limit, a panic in a woken round unwinds, and a woken
-//!   node's error is the first error — on `SyncExecutor`, on
-//!   `PooledExecutor` at `PARALLEL_THREADS` and on both ends of a loopback
-//!   socket pair.
+//! * Edge cases of the engine's wake state — a message, or a neighbor's
+//!   broadcast, wakes a sleeper in the round it is delivered, a timer wakes
+//!   it in exactly its round, a sleep that ends next round is a `Continue`,
+//!   a sleeper nothing wakes runs into the round limit, a panic in a woken
+//!   round unwinds, and a woken node's error is the first error — on
+//!   `SyncExecutor`, on `PooledExecutor` at `PARALLEL_THREADS` and on both
+//!   ends of a loopback socket pair.
 //! * Twin properties for the two programs that sleep: each runs as written
 //!   and inside [`AlwaysAwake`], a wrapper that turns every `SleepUntil` into
 //!   `Continue`. Everything the model charges must agree; only
@@ -117,11 +117,12 @@ fn agree<O: PartialEq + std::fmt::Debug>(
 }
 
 /// A scripted node: records the rounds its `round` ran in, sends one
-/// message at a chosen round, and after every round returns what `after`
-/// says (`None` = `Continue`) until it halts at `halt`.
+/// message or broadcasts at a chosen round, and after every round returns
+/// what `after` says (`None` = `Continue`) until it halts at `halt`.
 #[derive(Clone)]
 struct Scripted {
     send: Option<(u64, usize)>,
+    broadcast: Option<u64>,
     after: fn(u64) -> Option<u64>,
     panic_at: Option<u64>,
     halt: u64,
@@ -132,6 +133,7 @@ impl Scripted {
     fn new(halt: u64, after: fn(u64) -> Option<u64>) -> Self {
         Scripted {
             send: None,
+            broadcast: None,
             after,
             panic_at: None,
             halt,
@@ -160,6 +162,9 @@ impl NodeProgram for Scripted {
             if at == ctx.round {
                 outbox.send(NodeId(to), ctx.round);
             }
+        }
+        if self.broadcast == Some(ctx.round) {
+            outbox.broadcast(ctx.round);
         }
         if ctx.round >= self.halt {
             return RoundAction::Halt(self.ran.clone());
@@ -190,6 +195,31 @@ fn a_message_wakes_a_sleeper_in_the_round_it_is_delivered() {
     assert_eq!(report.outputs[0], vec![1, 4]);
     assert_eq!(report.outputs[1], vec![1, 2, 3, 4, 5]);
     assert_eq!(active(&report), vec![2, 2, 1, 1, 2, 1]);
+}
+
+#[test]
+fn a_broadcast_wakes_the_sleeping_neighbors_in_the_round_it_is_delivered() {
+    // Nodes 0 and 2 sleep on messages only, and nothing but node 1's lone
+    // broadcast in round 3 reaches them: both run (and halt) in round 4.
+    // On the socket, node 0 shares node 1's shard and node 2 is across the
+    // split; node 3, a neighbor of node 2 only, keeps running throughout.
+    let g = generators::path(4);
+    let mk = || {
+        let mut broadcaster = Scripted::new(5, |_| None);
+        broadcaster.broadcast = Some(3);
+        vec![
+            Scripted::new(4, |_| Some(u64::MAX)),
+            broadcaster,
+            Scripted::new(4, |_| Some(u64::MAX)),
+            Scripted::new(5, |_| None),
+        ]
+    };
+    let report = agree(on_every_backend(&g, mk, &ExecutorConfig::default())).unwrap();
+    assert_eq!(report.outputs[0], vec![1, 4]);
+    assert_eq!(report.outputs[2], vec![1, 4]);
+    assert_eq!(report.outputs[3], vec![1, 2, 3, 4, 5]);
+    assert_eq!(active(&report), vec![4, 4, 2, 2, 4, 2]);
+    assert_eq!((report.messages, report.payloads), (2, 1));
 }
 
 #[test]
